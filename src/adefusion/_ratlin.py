@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["SparseRREF", "solve_exact"]
+__all__ = ["SparseRREF", "solve_many", "solve_exact"]
 
 
 class SparseRREF:
@@ -81,17 +81,19 @@ class SparseRREF:
         return True
 
 
-def solve_exact(a, b):
-    """Solve A x = b exactly over Q.
+def solve_many(a, bs):
+    """Solve A x = b exactly over Q for every right-hand side b in bs.
 
-    a: list of rows (list of int/Fraction), b: list.  Returns (solution,
-    nullity) with one particular solution and the nullspace dimension, or
-    None if the system is inconsistent.  Plain dense Gauss-Jordan; the
-    systems solved here are at most a few dozen variables.
+    a: list of rows (list of int/Fraction); bs: list of right-hand sides,
+    each a list with one entry per row of a.  Returns (solutions, nullity):
+    one particular solution per b, None where that system is inconsistent,
+    and the nullspace dimension of A.  One dense Gauss-Jordan pass over
+    the matrix augmented by every right-hand side at once; the systems
+    solved here are at most a few dozen variables.
     """
-    m = [[Fraction(x) for x in row] + [Fraction(y)]
-         for row, y in zip(a, b)]
-    nrows, ncols = len(m), len(m[0]) - 1
+    m = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
+         for i, row in enumerate(a)]
+    nrows, ncols = len(m), len(a[0])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -100,19 +102,30 @@ def solve_exact(a, b):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 coef = m[i][c]
-                m[i] = [x - coef * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - coef * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x, ncols - len(pivots)
+    sols = []
+    for k in range(ncols, ncols + len(bs)):
+        if any(m[i][k] for i in range(r, nrows)):
+            sols.append(None)
+            continue
+        x = [Fraction(0)] * ncols
+        for i, c in enumerate(pivots):
+            x[c] = m[i][k]
+        sols.append(x)
+    return sols, ncols - len(pivots)
+
+
+def solve_exact(a, b):
+    """Solve A x = b exactly over Q: the single right-hand side case of
+    solve_many.  Returns (solution, nullity), or None if the system is
+    inconsistent."""
+    (x,), nullity = solve_many(a, [b])
+    return None if x is None else (x, nullity)

@@ -122,6 +122,8 @@ def _cmd_essential(args, diagram):
 def _cmd_paths(args, parser, diagram):
     if args.length is None:
         parser.error("paths requires --length")
+    if args.length < 0:
+        parser.error("--length must be non-negative, got %d" % args.length)
     origin = None
     if args.origin is not None:
         try:

@@ -1,11 +1,16 @@
 """Algebra of quantum symmetries of an ADE diagram.
 
 Take the tensor square of the fusion algebra and quotient by the
-relations (a.x) (x) b = a (x) (x.b) for every x in the ambichiral subset
-J, i.e. glue the two factors over J.  The quotient is computed exactly:
+relations (a.x) (x) b = a (x) (x.b) for x in the ambichiral subset J,
+i.e. glue the two factors over J.  Writing R_x(a,b) for the difference,
+R_xy(a,b) = R_y(a.x, b) + R_x(a, y.b), so the relations for a generating
+set G of J span those for all of J; G is chosen greedily and certified
+exactly (every x in J must lie in the span of products of G), and only
+|G| r^2 relation vectors are imposed.  The quotient is computed exactly:
 the relation vectors span an integer subspace of the r^2-dimensional
 tensor square, reduced by sparse rational row echelon, and the quotient
-dimension must come out to r^2/|J|.
+dimension must come out to r^2/|J|.  The normal forms of all r^2 pairs
+come from one exact elimination of the canonical-residue block.
 
 Elements are written a(x)b for vertex pairs; the canonical basis is the
 greedy one (first r^2/|J| pairs in position order that stay independent
@@ -18,11 +23,10 @@ basis by them gives the two edge families of the Cayley graph.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import numpy as np
 
-from ._ratlin import SparseRREF, solve_exact
+from ._ratlin import SparseRREF, solve_many
 from .errors import StructuralError
 from .fusion import algebra_for, ambichiral_subalgebra
 
@@ -39,6 +43,47 @@ __all__ = [
 ]
 
 
+def _times(cons, vec, g):
+    """The fusion product vec . g of a sparse integer vector and a vertex."""
+    out = {}
+    for a, x in vec.items():
+        for c in np.nonzero(cons[a, g])[0]:
+            out[int(c)] = out.get(int(c), 0) + x * int(cons[a, g, c])
+    return out
+
+
+def _product_span(cons, gens):
+    """Row echelon span of every product of the vertices gens, the empty
+    product (the unit, vertex 0) included."""
+    span = SparseRREF(cons.shape[0])
+    todo = [{0: 1}]
+    while todo:
+        vec = todo.pop()
+        if span.insert(vec):
+            todo.extend(_times(cons, vec, g) for g in gens)
+    return span
+
+
+def _ambichiral_generators(cons, subset):
+    """Generators of the ambichiral subset as an algebra.
+
+    Greedy in position order: keep each vertex that is not yet in the span
+    of products of those kept.  The choice is then certified: every vertex
+    of subset must lie in the span of products of the generators alone.
+    """
+    gens = ()
+    span = _product_span(cons, gens)
+    for x in subset:
+        if not span.contains({x: 1}):
+            gens += (x,)
+            span = _product_span(cons, gens)
+    for x in subset:
+        if not span.contains({x: 1}):
+            raise StructuralError(
+                "ambichiral vertex %d is not generated by %s" % (x, gens))
+    return gens
+
+
 class QuantumSymmetries:
     def __init__(self, algebra):
         self.algebra = algebra
@@ -51,9 +96,11 @@ class QuantumSymmetries:
                 "tensor square size %d not divisible by |J|=%d" % (r * r, nj))
         self.dim = (r * r) // nj
 
-        rel = SparseRREF(r * r)
         cons = algebra.n
-        for x in self.ambichiral:
+        self.ambichiral_generators = _ambichiral_generators(
+            cons, self.ambichiral)
+        rel = SparseRREF(r * r)
+        for x in self.ambichiral_generators:
             for a in range(r):
                 for b in range(r):
                     vec = {}
@@ -82,23 +129,23 @@ class QuantumSymmetries:
             raise StructuralError("could not complete a canonical basis")
         self.canonical = tuple(divmod(p, r) for p in canonical)
 
+        # residues live on the free columns; the canonical residues form a
+        # square block, and one elimination solves it for every pair at once
         free = [c for c in range(r * r) if c not in rel.rows]
-        basis_rows = [[residues[p].get(f, Fraction(0)) for p in canonical]
-                      for f in free]
+        block = [[residues[p].get(f, 0) for p in canonical] for f in free]
+        rhs = [[rho.get(f, 0) for f in free] for rho in residues]
+        sols, nullity = solve_many(block, rhs)
         nf = np.zeros((r, r, self.dim), dtype=np.int64)
-        for a in range(r):
-            for b in range(r):
-                rho = residues[a * r + b]
-                rhs = [rho.get(f, Fraction(0)) for f in free]
-                sol = solve_exact(basis_rows, rhs)
-                if sol is None or sol[1]:
+        for p, sol in enumerate(sols):
+            a, b = divmod(p, r)
+            if sol is None or nullity:
+                raise StructuralError(
+                    "normal form of %d(x)%d is not unique" % (a, b))
+            for i, coef in enumerate(sol):
+                if coef.denominator != 1:
                     raise StructuralError(
-                        "normal form of %d(x)%d is not unique" % (a, b))
-                for i, coef in enumerate(sol[0]):
-                    if coef.denominator != 1:
-                        raise StructuralError(
-                            "normal form of %d(x)%d is not integral" % (a, b))
-                    nf[a, b, i] = int(coef)
+                        "normal form of %d(x)%d is not integral" % (a, b))
+                nf[a, b, i] = int(coef)
         nf.setflags(write=False)
         self.nf = nf
 

@@ -52,6 +52,15 @@ def test_paths_requires_length(capsys):
     assert exc.value.code == 2
 
 
+def test_paths_negative_length(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paths", "E6", "--length", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--length" in err
+
+
 def test_ocneanu_table(capsys):
     status, out, _ = _run(capsys, ["ocneanu", "E6"])
     assert status == 0

@@ -10,6 +10,7 @@ from adefusion import (
     quantum_symmetry_algebra,
     s_matrices,
 )
+from adefusion._ratlin import SparseRREF
 from adefusion.ocneanu import cayley_dot, element_dims
 from adefusion.golden import (
     A11_QS_DIM,
@@ -162,3 +163,37 @@ def test_undefined_graphs():
         quantum_symmetry_algebra("D4")
     with pytest.raises(NoPositiveHypergroupError):
         quantum_symmetry_algebra("E7")
+
+
+def _full_relations(qs):
+    """The relations for every x in J and every pair a, b: the r^3
+    construction the generator-only one must reproduce."""
+    r = qs.algebra.rank
+    cons = qs.algebra.n
+    rel = SparseRREF(r * r)
+    for x in qs.ambichiral:
+        for a in range(r):
+            for b in range(r):
+                vec = {}
+                for c in range(r):
+                    if cons[a, x, c]:
+                        vec[c * r + b] = vec.get(c * r + b, 0) + int(cons[a, x, c])
+                    if cons[x, b, c]:
+                        vec[a * r + c] = vec.get(a * r + c, 0) - int(cons[x, b, c])
+                rel.insert(vec)
+    return rel
+
+
+@pytest.mark.parametrize("graph", ["E6", "E8", "A11"])
+def test_generator_relations_match_full_ambichiral(graph):
+    qs = quantum_symmetry_algebra(graph)
+    assert len(qs.ambichiral_generators) < len(qs.ambichiral)
+    assert set(qs.ambichiral_generators) <= set(qs.ambichiral)
+    assert qs._relations.rows == _full_relations(qs).rows
+
+
+def test_ambichiral_generators():
+    for n in (2, 3, 7, 11, 16):
+        assert quantum_symmetry_algebra("A%d" % n).ambichiral_generators == (1,)
+    assert len(quantum_symmetry_algebra("E6").ambichiral_generators) == 2
+    assert quantum_symmetry_algebra("E8").ambichiral_generators == (6,)

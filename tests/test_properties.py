@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adefusion import multiply_qs, quantum_symmetry_algebra
+from adefusion._ratlin import solve_exact, solve_many
 from adefusion.diagram import build_diagram, diagram_json, parse_graph_name
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import algebra_for, fusion_json
@@ -92,6 +93,32 @@ def test_normal_form_respects_products(graph, data):
         for i, u in enumerate(qs.nf[a, b]) if u
         for j, v in enumerate(qs.nf[c, d]) if v)
     assert np.array_equal(direct, via_basis)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.booleans(), st.data())
+def test_solve_many_matches_solve_exact(nrows, ncols, nrhs, repeat, data):
+    ints = st.integers(-3, 3)
+    a = [data.draw(st.lists(ints, min_size=ncols, max_size=ncols))
+         for _ in range(nrows)]
+    if repeat:
+        # dependent rows: some right-hand sides are then inconsistent
+        a.append(list(a[0]))
+    bs = [data.draw(st.lists(ints, min_size=len(a), max_size=len(a)))
+          for _ in range(nrhs)]
+    sols, nullity = solve_many(a, bs)
+    assert len(sols) == nrhs
+    assert nullity == ncols - np.linalg.matrix_rank(np.array(a))
+    for b, x in zip(bs, sols):
+        single = solve_exact(a, b)
+        if x is None:
+            assert single is None
+            augmented = np.column_stack([np.array(a), b])
+            assert (np.linalg.matrix_rank(augmented)
+                    > np.linalg.matrix_rank(np.array(a)))
+            continue
+        assert single == (x, nullity)
+        assert [sum(c * v for c, v in zip(row, x)) for row in a] == b
 
 
 def test_diagram_json_roundtrip():
