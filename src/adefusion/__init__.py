@@ -43,7 +43,6 @@ from .essential import (
     esspath_dims,
     para_invariants,
     decompose_left,
-    decompose_right,
     reduced_essential,
 )
 from .path_model import (
@@ -62,6 +61,7 @@ from .ocneanu import (
     multiply_qs,
     cayley_graph,
     s_matrices,
+    decompose_right,
 )
 from .modular import (
     ModularRep,

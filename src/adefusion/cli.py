@@ -28,15 +28,15 @@ from .diagram import (build_diagram, graph_norm, parse_graph_name,
                       perron_frobenius, q_number)
 from .errors import AdeError, NoPositiveHypergroupError, NotDefinedError, \
     UnsupportedDiagramError
-from .essential import (decompose_left, decompose_right, essential_json,
-                        essential_matrices, esspath_dims, fused_adjacency,
-                        intertwiner_check, para_invariants, recurrence_rows)
+from .essential import (decompose_left, essential_json, essential_matrices,
+                        esspath_dims, fused_adjacency, intertwiner_check,
+                        para_invariants, recurrence_rows)
 from .fusion import algebra_for, fusion_json, fusion_matrices, \
     fusion_table_ascii
 from .modular import (ModularRep, modular_invariance_check, modular_json,
                       partition_function, toric_matrices)
-from .ocneanu import (cayley_dot, element_dims, multiply_qs, ocneanu_json,
-                      quantum_symmetry_algebra, s_matrices)
+from .ocneanu import (cayley_dot, decompose_right, element_dims, multiply_qs,
+                      ocneanu_json, quantum_symmetry_algebra, s_matrices)
 from .path_model import PathSpace, annihilation_operator, enumerate_paths
 from .path_model import essential_dims as path_essential_dims
 from .path_model import spanning_json
@@ -161,13 +161,11 @@ def _cmd_toric(args, parser, diagram):
     qs = quantum_symmetry_algebra(diagram.name)
     mats = toric_matrices(diagram.name)
     if args.element is not None:
-        a, b = _parse_element(parser, diagram, args.element)
-        v = qs.nf[a, b]
-        live = np.nonzero(v)[0]
-        if len(live) != 1 or v[live[0]] != 1:
+        x = qs.element(*_parse_element(parser, diagram, args.element))
+        if x is None:
             parser.error("--element %s is not a single basis element"
                          % args.element)
-        picked = [int(live[0])]
+        picked = [x]
     else:
         picked = list(range(qs.dim))
     if args.format == "json":
@@ -185,7 +183,6 @@ def _cmd_modular_check(args, diagram):
     if args.format == "json":
         return _wrap_json(args, diagram.name,
                           json.loads(modular_json(diagram.name)))
-    qs = quantum_symmetry_algebra(diagram.name)
     rep = ModularRep(diagram.coxeter_number)
     res = modular_invariance_check(diagram.name, tol=args.tol)
     dev = rep.relation_deviations()
@@ -204,18 +201,19 @@ def _cmd_modular_check(args, diagram):
 # -- frozen-reference checks ---------------------------------------------
 
 
-def _element_index(qs, pair):
-    d = qs.diagram
-    v = qs.nf[d.label_to_position(pair[0]), d.label_to_position(pair[1])]
-    live = np.nonzero(v)[0]
-    if len(live) != 1 or v[live[0]] != 1:
+def _positions(qs, pair):
+    return tuple(qs.diagram.label_to_position(label) for label in pair)
+
+
+def _element_of(qs, pair):
+    x = qs.element(*_positions(qs, pair))
+    if x is None:
         raise AssertionError("%s(x)%s is not a basis element" % pair)
-    return int(live[0])
+    return x
 
 
 def _nf_of(qs, pair):
-    d = qs.diagram
-    return qs.nf[d.label_to_position(pair[0]), d.label_to_position(pair[1])]
+    return qs.nf[_positions(qs, pair)]
 
 
 def _assert_equal(got, want, what):
@@ -223,17 +221,28 @@ def _assert_equal(got, want, what):
         raise AssertionError("%s does not match the frozen value" % what)
 
 
-def _e6_registry():
+def _dims_a11():
+    dims = esspath_dims(essential_matrices(algebra_for("A11")))
+    _assert_equal(dims, golden.A11_DIMS, "A11 dims")
+    if int(dims.sum()) != golden.A11_DIMS_SUM \
+            or int((dims ** 2).sum()) != golden.A11_DIMS_SQ:
+        raise AssertionError("A11 dimension sums are off")
+
+
+def _modular_relations():
+    rep = ModularRep(12)
+    dev = rep.relation_deviations()
+    if max(dev.values()) > 1e-9:
+        raise AssertionError("generator relations deviate: %r" % dev)
+    if rep.t_order != golden.T_ORDER_12:
+        raise AssertionError("T order %d, expected %d"
+                             % (rep.t_order, golden.T_ORDER_12))
+
+
+def _e6_registry(check):
     d = parse_graph_name("E6")
     alg = algebra_for(d)
     lp = d.label_to_position
-    checks = []
-
-    def check(name):
-        def keep(fn):
-            checks.append((name, fn))
-            return fn
-        return keep
 
     @check("fusion-table")
     def _():
@@ -319,13 +328,7 @@ def _e6_registry():
                 or int((dims ** 2).sum()) != golden.E6_DIMS_SQ:
             raise AssertionError("E6 dimension sums are off")
 
-    @check("dims-a11")
-    def _():
-        dims = esspath_dims(essential_matrices(algebra_for("A11")))
-        _assert_equal(dims, golden.A11_DIMS, "A11 dims")
-        if int(dims.sum()) != golden.A11_DIMS_SUM \
-                or int((dims ** 2).sum()) != golden.A11_DIMS_SQ:
-            raise AssertionError("A11 dimension sums are off")
+    check("dims-a11")(_dims_a11)
 
     @check("dims-a-family")
     def _():
@@ -358,14 +361,14 @@ def _e6_registry():
             coeffs = decompose_right(ess, lp(a), lp(b))
             wantvec = np.zeros(qs.dim, dtype=np.int64)
             for pair, mult in want.items():
-                wantvec[_element_index(qs, pair)] += mult
+                wantvec[_element_of(qs, pair)] += mult
             _assert_equal(coeffs, wantvec, "right cell (%d,%d)" % (a, b))
 
     @check("element-dims")
     def _():
         dims = element_dims(qs)
         for pair, want in golden.E6_QS_DVEC.items():
-            if int(dims[_element_index(qs, pair)]) != want:
+            if int(dims[_element_of(qs, pair)]) != want:
                 raise AssertionError("d of %s(x)%s is off" % pair)
         if int((dims ** 2).sum()) != golden.E6_QS_DSQ:
             raise AssertionError("sum of squared entry totals is off")
@@ -412,8 +415,7 @@ def _e6_registry():
     @check("qs-products")
     def _():
         for (x, y), parts in golden.E6_QS_PRODUCTS.items():
-            got = multiply_qs(qs, _element_index(qs, x),
-                              _element_index(qs, y))
+            got = multiply_qs(qs, _element_of(qs, x), _element_of(qs, y))
             want = np.zeros(qs.dim, dtype=np.int64)
             for p in parts:
                 want += _nf_of(qs, p)
@@ -426,20 +428,20 @@ def _e6_registry():
                           ("R", golden.E6_QS_CLASS_R),
                           ("C", golden.E6_QS_CLASS_C)):
             got = sorted(qs.partition[key])
-            exp = sorted(_element_index(qs, p) for p in want)
+            exp = sorted(_element_of(qs, p) for p in want)
             if got != exp:
                 raise AssertionError("class %s disagrees" % key)
 
     @check("qs-matrix-51")
     def _():
         mats = s_matrices(qs)
-        _assert_equal(mats[_element_index(qs, (5, 1))], golden.E6_S51,
+        _assert_equal(mats[_element_of(qs, (5, 1))], golden.E6_S51,
                       "S of 5(x)1")
 
     @check("qs-cayley-solid")
     def _():
         solid, _ = qs.generator_matrices()
-        idx = [_element_index(qs, (int(d.vertex_labels[p]), 0))
+        idx = [_element_of(qs, (int(d.vertex_labels[p]), 0))
                for p in range(d.rank)]
         _assert_equal(solid[np.ix_(idx, idx)], d.adjacency,
                       "solid subgraph on the left chiral block")
@@ -459,25 +461,17 @@ def _e6_registry():
     @check("toric-matrices")
     def _():
         for pair, rows in golden.E6_W.items():
-            _assert_equal(mats[_element_index(qs, pair)], rows,
+            _assert_equal(mats[_element_of(qs, pair)], rows,
                           "W of %s(x)%s" % pair)
 
     @check("toric-coincidences")
     def _():
         for left, right in golden.E6_W_COINCIDENCES:
-            if _element_index(qs, left) != _element_index(qs, right):
+            if _element_of(qs, left) != _element_of(qs, right):
                 raise AssertionError("%s and %s differ" % (left, right))
 
     rep = ModularRep(12)
-
-    @check("modular-relations")
-    def _():
-        dev = rep.relation_deviations()
-        if max(dev.values()) > 1e-9:
-            raise AssertionError("generator relations deviate: %r" % dev)
-        if rep.t_order != golden.T_ORDER_12:
-            raise AssertionError("T order %d, expected %d"
-                                 % (rep.t_order, golden.T_ORDER_12))
+    check("modular-relations")(_modular_relations)
 
     @check("modular-diagonalize")
     def _():
@@ -496,7 +490,7 @@ def _e6_registry():
 
     @check("modular-invariance")
     def _():
-        origin = _element_index(qs, (0, 0))
+        origin = _element_of(qs, (0, 0))
         w = mats[origin].astype(complex)
         if np.abs(w @ rep.s - rep.s @ w).max() > 1e-9 \
                 or np.abs(w @ rep.t - rep.t @ w).max() > 1e-9:
@@ -517,25 +511,9 @@ def _e6_registry():
         if got != golden.E6_PARTITION_FUNCTION:
             raise AssertionError("rendered %r" % got)
 
-    return checks
 
-
-def _a11_registry():
-    checks = []
-
-    def check(name):
-        def keep(fn):
-            checks.append((name, fn))
-            return fn
-        return keep
-
-    @check("dims-a11")
-    def _():
-        dims = esspath_dims(essential_matrices(algebra_for("A11")))
-        _assert_equal(dims, golden.A11_DIMS, "A11 dims")
-        if int(dims.sum()) != golden.A11_DIMS_SUM \
-                or int((dims ** 2).sum()) != golden.A11_DIMS_SQ:
-            raise AssertionError("A11 dimension sums are off")
+def _a11_registry(check):
+    check("dims-a11")(_dims_a11)
 
     @check("qs-dimension")
     def _():
@@ -546,14 +524,7 @@ def _a11_registry():
         if qs.generator_left != qs.generator_right:
             raise AssertionError("chiral generators should coincide")
 
-    @check("modular-relations")
-    def _():
-        rep = ModularRep(12)
-        dev = rep.relation_deviations()
-        if max(dev.values()) > 1e-9:
-            raise AssertionError("generator relations deviate: %r" % dev)
-        if rep.t_order != golden.T_ORDER_12:
-            raise AssertionError("T order is off")
+    check("modular-relations")(_modular_relations)
 
     @check("partition-function")
     def _():
@@ -562,20 +533,19 @@ def _a11_registry():
         if got != want:
             raise AssertionError("rendered %r" % got)
 
-    return checks
-
 
 _REGISTRIES = {"E6": _e6_registry, "A11": _a11_registry}
 
 
 def _cmd_verify(diagram):
-    builder = _REGISTRIES.get(diagram.name)
-    if builder is None:
+    register = _REGISTRIES.get(diagram.name)
+    if register is None:
         raise NotDefinedError("no frozen reference data for %s"
                               % diagram.name)
+    checks = []
+    register(lambda name: lambda fn: checks.append((name, fn)))
     lines = []
     failed = 0
-    checks = builder()
     for name, fn in checks:
         try:
             fn()
@@ -623,8 +593,12 @@ def main(argv=None):
         return 1
 
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            parser.error("cannot write --out %s: %s"
+                         % (args.out, exc.strerror))
     else:
         print(text)
     return status

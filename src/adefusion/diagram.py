@@ -9,6 +9,7 @@ the package are written in this position order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -144,6 +145,27 @@ def parse_graph_name(text):
     except ValueError:
         raise UnsupportedDiagramError("cannot parse graph name %r" % (text,))
     return build_diagram(text[0].upper(), rank)
+
+
+def cache_per_diagram(fn):
+    """Memoise fn(graph, *args) on the graph's (family, rank).
+
+    A DynkinDiagram holds an ndarray, so it is not hashable; a diagram is
+    fixed by its family and rank, so that pair is the key and fn receives
+    the diagram rebuilt from it.  graph may be a diagram, a graph name, or
+    anything with a ``diagram`` attribute (an algebra, for instance).
+    """
+    @functools.lru_cache(maxsize=None)
+    def cached(family, rank, *args):
+        return fn(build_diagram(family, rank), *args)
+
+    @functools.wraps(fn)
+    def wrapper(graph, *args):
+        if isinstance(graph, str):
+            graph = parse_graph_name(graph)
+        d = getattr(graph, "diagram", graph)
+        return cached(d.family, d.rank, *args)
+    return wrapper
 
 
 def graph_norm(d):

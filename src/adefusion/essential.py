@@ -30,7 +30,6 @@ __all__ = [
     "esspath_dims",
     "para_invariants",
     "decompose_left",
-    "decompose_right",
     "reduced_essential",
     "essential_json",
 ]
@@ -134,21 +133,6 @@ def decompose_left(ess, a, b):
     if not np.array_equal(rebuilt, target):
         raise StructuralError(
             "left decomposition of (%d,%d) does not reconstruct" % (a, b))
-    return coeffs
-
-
-def decompose_right(ess, a, b):
-    """Coefficients of E_a^T . E_b over the quantum symmetry matrices.
-    The reconstruction is checked exactly."""
-    from .ocneanu import quantum_symmetry_algebra, s_matrices
-    qs = quantum_symmetry_algebra(ess.diagram)
-    smats = s_matrices(qs)
-    coeffs = np.array([int(s[a, b]) for s in smats], dtype=np.int64)
-    target = ess.e[a].T @ ess.e[b]
-    rebuilt = np.tensordot(coeffs, np.array(smats), axes=(0, 0))
-    if not np.array_equal(rebuilt, target):
-        raise StructuralError(
-            "right decomposition of (%d,%d) does not reconstruct" % (a, b))
     return coeffs
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._ratlin import solve_exact
-from .diagram import Family
+from .diagram import Family, cache_per_diagram
 from .errors import NoPositiveHypergroupError, NotDefinedError, StructuralError
 
 __all__ = [
@@ -234,14 +234,9 @@ def _expected_positive(d):
     return d.rank in (6, 8)
 
 
-_cache = {}
-
-
+@cache_per_diagram
 def fusion_matrices(diagram):
     """Build (and cache) the FusionAlgebra of an ADE diagram."""
-    key = (diagram.family, diagram.rank)
-    if key in _cache:
-        return _cache[key]
     try:
         if diagram.family is Family.A:
             mats = _construct_a(diagram)
@@ -256,9 +251,7 @@ def fusion_matrices(diagram):
                 "fusion construction failed on %s: %s" % (diagram.name, exc))
         raise NoPositiveHypergroupError(
             diagram.family.value, diagram.rank, str(exc))
-    alg = FusionAlgebra(diagram, mats)
-    _cache[key] = alg
-    return alg
+    return FusionAlgebra(diagram, mats)
 
 
 def multiply(algebra, a, b):
@@ -370,7 +363,4 @@ def algebra_for(name_or_diagram):
     """Convenience: accept a graph name, a diagram, or an algebra."""
     if isinstance(name_or_diagram, FusionAlgebra):
         return name_or_diagram
-    if isinstance(name_or_diagram, str):
-        from .diagram import parse_graph_name
-        return fusion_matrices(parse_graph_name(name_or_diagram))
     return fusion_matrices(name_or_diagram)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import StructuralError
+from .diagram import cache_per_diagram
 from .essential import essential_matrices, reduced_essential
 from .ocneanu import quantum_symmetry_algebra
 
@@ -89,26 +89,15 @@ class ModularRep:
 def toric_matrices(graph):
     """One (N-1) x (N-1) integer matrix per canonical element, each
     checked to be independent of the representative pair."""
-    qs = quantum_symmetry_algebra(graph)
-    ess = essential_matrices(qs.algebra)
+    return [m.copy() for m in _toric_matrices(graph)]
+
+
+@cache_per_diagram
+def _toric_matrices(diagram):
+    ess = essential_matrices(diagram)
     red = reduced_essential(ess)
-    mats = []
-    for x, pairs in enumerate(qs._unit_hits()):
-        cand = [ess.e[a] @ red[b].T for a, b in pairs]
-        for other in cand[1:]:
-            if not np.array_equal(cand[0], other):
-                raise StructuralError(
-                    "toric matrix of element %d depends on the pair" % x)
-        mats.append(cand[0])
-    return mats
-
-
-def _invariant_index(qs):
-    v = qs.nf[0, 0]
-    live = np.nonzero(v)[0]
-    if len(live) != 1 or v[live[0]] != 1:
-        raise StructuralError("0(x)0 is not a canonical basis element")
-    return int(live[0])
+    return quantum_symmetry_algebra(diagram).per_element(
+        lambda a, b: ess.e[a] @ red[b].T, "toric matrix")
 
 
 def modular_invariance_check(graph, element=None, tol=1e-9):
@@ -116,8 +105,8 @@ def modular_invariance_check(graph, element=None, tol=1e-9):
     invariant element 0(x)0)."""
     qs = quantum_symmetry_algebra(graph)
     if element is None:
-        element = _invariant_index(qs)
-    w = toric_matrices(graph)[element]
+        element = qs.element(0, 0)
+    w = _toric_matrices(graph)[element]
     rep = ModularRep(qs.diagram.coxeter_number)
     ds = float(np.abs(w @ rep.s - rep.s @ w).max())
     dt = float(np.abs(w @ rep.t - rep.t @ w).max())
@@ -160,7 +149,7 @@ def partition_function(graph):
     """The modular invariant as a sum of squared character blocks,
     e.g. |chi1+chi7|^2 + ... printed with 1-based character indices."""
     qs = quantum_symmetry_algebra(graph)
-    w = toric_matrices(graph)[_invariant_index(qs)]
+    w = _toric_matrices(graph)[qs.element(0, 0)]
     blocks = _blocks_of(w)
     if blocks is None:
         warnings.warn("modular invariant of %s is not block diagonal"

@@ -15,9 +15,12 @@ come from one exact elimination of the canonical-residue block.
 Elements are written a(x)b for vertex pairs; the canonical basis is the
 greedy one (first r^2/|J| pairs in position order that stay independent
 modulo the relations), each named after its lexicographically smallest
-label pair among equivalent single-pair representatives.  Left and right
-chiral generators are the images of 1(x)0 and 0(x)1, and multiplying the
-basis by them gives the two edge families of the Cayley graph.
+label pair among equivalent single-pair representatives;
+QuantumSymmetries.element(a, b) looks up the element a pair equals on its
+own, and per_element builds one matrix per element from those pairs.  Left
+and right chiral generators are the images of 1(x)0 and 0(x)1, and
+multiplying the basis by them gives the two edge families of the Cayley
+graph.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import json
 import numpy as np
 
 from ._ratlin import SparseRREF, solve_many
+from .diagram import cache_per_diagram
 from .errors import StructuralError
-from .fusion import algebra_for, ambichiral_subalgebra
+from .fusion import ambichiral_subalgebra, fusion_matrices
 
 __all__ = [
     "QuantumSymmetries",
@@ -39,6 +43,7 @@ __all__ = [
     "cayley_dot",
     "s_matrices",
     "element_dims",
+    "decompose_right",
     "ocneanu_json",
 ]
 
@@ -149,30 +154,41 @@ class QuantumSymmetries:
         nf.setflags(write=False)
         self.nf = nf
 
+        # the canonical element that a(x)b equals on its own, else -1
+        single = (np.count_nonzero(nf, axis=2) == 1) & (nf.sum(axis=2) == 1)
+        self._elements = np.where(single, nf.argmax(axis=2), -1)
+        self.single_pairs = tuple(
+            tuple(map(tuple, np.argwhere(self._elements == x).tolist()))
+            for x in range(self.dim))
+
         self._name_elements()
         self._partition_elements()
         self._pick_generators()
-        self._smats = None
-        self._gen_mats = None
+
+    def element(self, a, b):
+        """Canonical index of a(x)b if it is one basis element, else None."""
+        x = int(self._elements[a, b])
+        return None if x < 0 else x
+
+    def per_element(self, matrix, what):
+        """matrix(a, b) for each canonical element, read-only; it must be
+        the same over all of the element's single-pair forms."""
+        mats = []
+        for x, pairs in enumerate(self.single_pairs):
+            first, *rest = (matrix(a, b) for a, b in pairs)
+            if any(not np.array_equal(first, m) for m in rest):
+                raise StructuralError(
+                    "%s of element %d depends on the pair" % (what, x))
+            first.setflags(write=False)
+            mats.append(first)
+        return tuple(mats)
 
     # -- naming and partition ------------------------------------------
-
-    def _unit_hits(self):
-        """For each canonical index, the pairs equivalent to it alone."""
-        r = self.algebra.rank
-        hits = [[] for _ in range(self.dim)]
-        for a in range(r):
-            for b in range(r):
-                v = self.nf[a, b]
-                live = np.nonzero(v)[0]
-                if len(live) == 1 and v[live[0]] == 1:
-                    hits[int(live[0])].append((a, b))
-        return hits
 
     def _name_elements(self):
         labels = self.diagram.vertex_labels
         names = []
-        for x, pairs in enumerate(self._unit_hits()):
+        for x, pairs in enumerate(self.single_pairs):
             if not pairs:
                 raise StructuralError(
                     "canonical element %d has no single-pair form" % x)
@@ -184,19 +200,12 @@ class QuantumSymmetries:
         r = self.algebra.rank
         amb = set(self.ambichiral)
         classes = {}
-
-        def unit_index(vec):
-            live = np.nonzero(vec)[0]
-            if len(live) == 1 and vec[live[0]] == 1:
-                return int(live[0])
-            return None
-
         for a in range(r):
-            x = unit_index(self.nf[a, 0])
+            x = self.element(a, 0)
             if x is not None and x not in classes:
                 classes[x] = "A" if a in amb else "L"
         for b in range(r):
-            x = unit_index(self.nf[0, b])
+            x = self.element(0, b)
             if x is not None and x not in classes:
                 classes[x] = "A" if b in amb else "R"
         part = {"A": [], "L": [], "R": [], "C": []}
@@ -227,18 +236,17 @@ class QuantumSymmetries:
                 % (meet, len(self.ambichiral)))
 
     def _pick_generators(self):
-        def unit_or_die(vec, what):
-            live = np.nonzero(vec)[0]
-            if len(live) != 1 or vec[live[0]] != 1:
-                raise StructuralError("%s generator is not a basis element" % what)
-            return int(live[0])
-
-        r = self.algebra.rank
-        if r == 1:
-            self.generator_left = self.generator_right = 0
-            return
-        self.generator_left = unit_or_die(self.nf[1, 0], "left")
-        self.generator_right = unit_or_die(self.nf[0, 1], "right")
+        """The unit 0(x)0 and the chiral generators 1(x)0 and 0(x)1 (all
+        0(x)0 for A1) must each be one basis element."""
+        g = min(1, self.algebra.rank - 1)
+        picks = []
+        for what, a, b in (("unit", 0, 0), ("left generator", g, 0),
+                           ("right generator", 0, g)):
+            x = self.element(a, b)
+            if x is None:
+                raise StructuralError("%s is not a basis element" % what)
+            picks.append(x)
+        _, self.generator_left, self.generator_right = picks
 
     # -- products -------------------------------------------------------
 
@@ -251,31 +259,31 @@ class QuantumSymmetries:
         return np.tensordot(weight, self.nf, axes=([0, 1], [0, 1]))
 
     def generator_matrices(self):
-        if self._gen_mats is None:
-            solid = np.stack([self.product(x, self.generator_left)
-                              for x in range(self.dim)])
-            dashed = np.stack([self.product(x, self.generator_right)
-                               for x in range(self.dim)])
-            for name, m in (("left", solid), ("right", dashed)):
-                if not np.array_equal(m, m.T):
-                    raise StructuralError(
-                        "%s generator multiplication is not symmetric" % name)
-            self._gen_mats = (solid, dashed)
-        return self._gen_mats
+        """Multiplication by the left and right generators, read-only."""
+        return _generator_matrices(self)
 
     def __repr__(self):
         return "QuantumSymmetries(%s, dim=%d)" % (self.diagram.name, self.dim)
 
 
-_cache = {}
+@cache_per_diagram
+def quantum_symmetry_algebra(diagram):
+    return QuantumSymmetries(fusion_matrices(diagram))
 
 
-def quantum_symmetry_algebra(graph):
-    alg = algebra_for(graph)
-    key = (alg.diagram.family, alg.diagram.rank)
-    if key not in _cache:
-        _cache[key] = QuantumSymmetries(alg)
-    return _cache[key]
+@cache_per_diagram
+def _generator_matrices(diagram):
+    qs = quantum_symmetry_algebra(diagram)
+    mats = []
+    for name, g in (("left", qs.generator_left),
+                    ("right", qs.generator_right)):
+        m = np.stack([qs.product(x, g) for x in range(qs.dim)])
+        if not np.array_equal(m, m.T):
+            raise StructuralError(
+                "%s generator multiplication is not symmetric" % name)
+        m.setflags(write=False)
+        mats.append(m)
+    return tuple(mats)
 
 
 def normal_form(qs, a, b):
@@ -290,23 +298,32 @@ def multiply_qs(qs, x, y):
 def s_matrices(qs):
     """One r x r integer matrix per canonical element: the product
     N_a . N_b over its single-pair forms, which must all agree."""
-    if qs._smats is None:
-        cons = qs.algebra.n
-        mats = []
-        for x, pairs in enumerate(qs._unit_hits()):
-            cand = [cons[a] @ cons[b] for a, b in pairs]
-            for other in cand[1:]:
-                if not np.array_equal(cand[0], other):
-                    raise StructuralError(
-                        "element %d has inequivalent matrix forms" % x)
-            mats.append(cand[0])
-        qs._smats = mats
-    return [m.copy() for m in qs._smats]
+    return [m.copy() for m in _s_matrices(qs)]
+
+
+@cache_per_diagram
+def _s_matrices(diagram):
+    cons = fusion_matrices(diagram).n
+    return quantum_symmetry_algebra(diagram).per_element(
+        lambda a, b: cons[a] @ cons[b], "matrix form")
 
 
 def element_dims(qs):
     """Total entry sum of each element's matrix."""
-    return np.array([int(m.sum()) for m in s_matrices(qs)], dtype=np.int64)
+    return np.array([int(m.sum()) for m in _s_matrices(qs)], dtype=np.int64)
+
+
+def decompose_right(ess, a, b):
+    """Coefficients of E_a^T . E_b over the quantum symmetry matrices.
+    The reconstruction is checked exactly."""
+    smats = _s_matrices(ess)
+    coeffs = np.array([int(s[a, b]) for s in smats], dtype=np.int64)
+    target = ess.e[a].T @ ess.e[b]
+    rebuilt = np.tensordot(coeffs, np.array(smats), axes=(0, 0))
+    if not np.array_equal(rebuilt, target):
+        raise StructuralError(
+            "right decomposition of (%d,%d) does not reconstruct" % (a, b))
+    return coeffs
 
 
 def cayley_graph(qs):

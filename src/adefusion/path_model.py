@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .diagram import graph_norm, perron_frobenius
+from .diagram import cache_per_diagram, graph_norm, perron_frobenius
 from .errors import LengthCapError
 
 __all__ = [
@@ -36,13 +36,9 @@ __all__ = [
 
 DEFAULT_CAP = 8
 
-_path_cache = {}
 
-
+@cache_per_diagram
 def _paths(diagram, length, origin):
-    key = (diagram.family, diagram.rank, length, origin)
-    if key in _path_cache:
-        return _path_cache[key]
     starts = range(diagram.rank) if origin is None else (origin,)
     out = []
     for v0 in starts:
@@ -50,9 +46,7 @@ def _paths(diagram, length, origin):
         for _ in range(length):
             frontier = [p + (w,) for p in frontier for w in diagram.neighbors(p[-1])]
         out.extend(frontier)
-    paths = tuple(sorted(out))
-    _path_cache[key] = paths
-    return paths
+    return tuple(sorted(out))
 
 
 def enumerate_paths(diagram, length, origin=None, cap=DEFAULT_CAP):

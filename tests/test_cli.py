@@ -147,6 +147,18 @@ def test_verify_unknown_graph(capsys):
     assert "no frozen reference data" in err
 
 
+def test_out_unwritable_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion", "E6", "--out", str(target)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: cannot write --out" in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     status, out, _ = _run(capsys, ["fusion", "E6", "--format", "json",

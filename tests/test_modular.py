@@ -3,9 +3,12 @@ import pytest
 
 from adefusion import (
     ModularRep,
+    build_diagram,
+    fusion_matrices,
     modular_invariance_check,
     partition_function,
     quantum_symmetry_algebra,
+    s_matrices,
     toric_matrices,
     verlinde_s,
     verlinde_t,
@@ -13,6 +16,7 @@ from adefusion import (
 from adefusion.fusion import algebra_for
 from adefusion.golden import (
     E6_PARTITION_FUNCTION,
+    E6_S51,
     E6_T_BLOCKS,
     E6_W,
     E6_W_COINCIDENCES,
@@ -121,3 +125,27 @@ def test_toric_unit_row_gives_dims():
     qs = quantum_symmetry_algebra("E6")
     w0 = ws[_element_index(qs, 0, 0)]
     assert np.array_equal(w0, w0.T)
+
+
+def test_cached_values_are_isolated():
+    """A caller writing into a returned array either fails (read-only) or
+    writes into its own copy: the next call still sees the true values."""
+    qs = quantum_symmetry_algebra("E6")
+    d = build_diagram("E", 6)
+    returned = (toric_matrices("E6") + s_matrices(qs)
+                + list(qs.generator_matrices())
+                + [fusion_matrices(d).n, qs.nf])
+    for m in returned:
+        try:
+            m += 7
+        except ValueError:
+            pass
+    with pytest.raises(ValueError):
+        fusion_matrices(d).n[0] += 7
+    with pytest.raises(ValueError):
+        qs.nf[0] += 7
+    mats = toric_matrices("E6")
+    for pair, rows in E6_W.items():
+        assert np.array_equal(mats[_element_index(qs, *pair)], rows), pair
+    s51 = s_matrices(quantum_symmetry_algebra("E6"))[_element_index(qs, 5, 1)]
+    assert np.array_equal(s51, E6_S51)

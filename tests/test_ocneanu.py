@@ -197,3 +197,20 @@ def test_ambichiral_generators():
         assert quantum_symmetry_algebra("A%d" % n).ambichiral_generators == (1,)
     assert len(quantum_symmetry_algebra("E6").ambichiral_generators) == 2
     assert quantum_symmetry_algebra("E8").ambichiral_generators == (6,)
+
+
+def test_element_lookup():
+    qs = quantum_symmetry_algebra("E6")
+    d = qs.diagram
+    composite = {(2, 2), (2, 3), (3, 2), (3, 3)}
+    for la in map(int, d.vertex_labels):
+        for lb in map(int, d.vertex_labels):
+            got = qs.element(_pos(d, la), _pos(d, lb))
+            if (la, lb) in composite:
+                assert got is None, (la, lb)
+            else:
+                assert got == _element_index(qs, la, lb), (la, lb)
+    for graph in ("E6", "E8", "A11"):
+        qs = quantum_symmetry_algebra(graph)
+        for a, b in ((0, 0), (1, 0), (0, 1)):
+            assert qs.element(a, b) is not None, (graph, a, b)
