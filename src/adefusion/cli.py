@@ -30,7 +30,7 @@ from .errors import AdeError, NoPositiveHypergroupError, NotDefinedError, \
     UnsupportedDiagramError
 from .essential import (decompose_left, essential_json, essential_matrices,
                         esspath_dims, fused_adjacency, intertwiner_check,
-                        para_invariants, recurrence_rows)
+                        para_invariants, path_counts, recurrence_rows)
 from .fusion import algebra_for, fusion_json, fusion_matrices, \
     fusion_table_ascii
 from .modular import (ModularRep, modular_invariance_check, modular_json,
@@ -43,6 +43,15 @@ from .path_model import spanning_json
 
 COMMANDS = ("fusion", "essential", "paths", "ocneanu", "toric",
             "modular-check", "verify-paper")
+
+# `paths` refuses a request over either budget before it builds a path.
+# Block (a, b) holds N_p(a, b) paths, and its constraint matrix has
+# N_{p-2}(a, b) rows for each of C_1 .. C_{p-1}; `--format json` takes the
+# full SVD of that matrix, whose left factor is rows x rows.  For scale,
+# one thread: E6 --length 11 (7,382 paths, 2,090 rows) takes about 2 s
+# as a table and 8 s as JSON; E8 --length 12 (26,104 paths) about 27 s.
+PATHS_BUDGET = 10_000
+BLOCK_ROWS_BUDGET = 4_000
 
 
 def _build_parser():
@@ -119,6 +128,33 @@ def _cmd_essential(args, diagram):
     return "\n\n".join(blocks)
 
 
+def _paths_over_budget(diagram, length, origin):
+    """Why paths of this length are over budget, or None; counted from
+    path_counts alone."""
+    if diagram.rank > 1 and length - 1 > BLOCK_ROWS_BUDGET:
+        # each C_k contributes at least one row to every nonempty block
+        return ("at least %d constraint rows per (origin, end) block, over "
+                "the budget of %d rows" % (length - 1, BLOCK_ROWS_BUDGET))
+    origins = range(diagram.rank) if origin is None else (origin,)
+    try:
+        total = sum(sum(path_counts(diagram, length, a).tolist())
+                    for a in origins)
+    except OverflowError:
+        return "more than 2**63 - 1 paths, over the budget of %d paths" \
+            % PATHS_BUDGET
+    if total > PATHS_BUDGET:
+        return "%d paths, over the budget of %d paths" % (total,
+                                                          PATHS_BUDGET)
+    if length < 2:
+        return None
+    rows = (length - 1) * max(max(path_counts(diagram, length - 2, a))
+                              for a in origins)
+    if rows > BLOCK_ROWS_BUDGET:
+        return ("%d constraint rows in one (origin, end) block, over the "
+                "budget of %d rows" % (rows, BLOCK_ROWS_BUDGET))
+    return None
+
+
 def _cmd_paths(args, parser, diagram):
     if args.length is None:
         parser.error("paths requires --length")
@@ -131,6 +167,10 @@ def _cmd_paths(args, parser, diagram):
         except ValueError:
             parser.error("--origin %r is not a vertex of %s"
                          % (args.origin, diagram.name))
+    over = _paths_over_budget(diagram, args.length, origin)
+    if over:
+        parser.error("paths %s --length %d: %s"
+                     % (diagram.name, args.length, over))
     space = PathSpace(diagram, args.length, origin=origin,
                       cap=max(args.length, 8))
     if args.format == "json":

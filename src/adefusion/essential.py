@@ -101,14 +101,22 @@ def intertwiner_check(ess):
 
 
 def path_counts(diagram, length, origin=0):
-    """Number of length-n edge paths from origin to each vertex."""
+    """Number of length-n edge paths from origin to each vertex, as an
+    int64 vector.  The steps run on Python integers, so a count that
+    would not fit in int64 raises OverflowError instead of wrapping."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    v = np.zeros(diagram.rank, dtype=np.int64)
+    limit = int(np.iinfo(np.int64).max)
+    nbrs = [diagram.neighbors(b) for b in range(diagram.rank)]
+    v = [0] * diagram.rank
     v[origin] = 1
-    for _ in range(length):
-        v = v @ diagram.adjacency
-    return v
+    for n in range(1, length + 1):
+        v = [sum(v[w] for w in ws) for ws in nbrs]
+        if max(v) > limit:
+            raise OverflowError(
+                "%s has more than %d paths of length %d from vertex %d"
+                % (diagram.name, limit, n, origin))
+    return np.array(v, dtype=np.int64)
 
 
 def esspath_dims(ess):

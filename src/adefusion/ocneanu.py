@@ -89,6 +89,21 @@ def _ambichiral_generators(cons, subset):
     return gens
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses mutation, for tables shared by every caller of
+    the cached algebra; it compares, copies and serialises as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("this table is shared through a cache and is "
+                        "read-only; copy it with dict() to modify it")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class QuantumSymmetries:
     def __init__(self, algebra):
         self.algebra = algebra
@@ -211,7 +226,7 @@ class QuantumSymmetries:
         part = {"A": [], "L": [], "R": [], "C": []}
         for x in range(self.dim):
             part[classes.get(x, "C")].append(x)
-        self.partition = {k: tuple(v) for k, v in part.items()}
+        self.partition = _ReadOnlyDict((k, tuple(v)) for k, v in part.items())
         if len(self.partition["A"]) != len(self.ambichiral):
             raise StructuralError("ambichiral block has the wrong size")
         self._check_chiral_intersection()

@@ -7,6 +7,13 @@ its adjoint C+_k inserts a backtrack.  The normalized products
 e_k = C+_k C_k / beta realize the Temperley-Lieb projectors, and the
 essential subspace at length p is the joint kernel of all C_k.
 
+The C_k preserve the origin and the endpoint, so the kernel splits into
+(origin, endpoint) blocks; each block's C_k are stacked into one
+constraint matrix K.  essential_dims reads a block's dimension from the
+singular values of K alone (block size minus those above tol);
+essential_subspace takes the full SVD of the same K for its orthonormal
+bases, so both apply the same rank rule to the same matrix.
+
 This module is the numeric cross-check for the integer essential-path
 counts: it never looks at the recurrence, only at explicit path vectors,
 so agreement between the two is a real test.
@@ -138,71 +145,83 @@ def jones_projector(space, k):
     return PathOperator("jones", k, space, space, m)
 
 
-def _block_paths(space, a, b):
-    return [p for p in space.paths if p[0] == a and p[-1] == b]
+def _blocks(space):
+    """The paths of each nonempty (origin, endpoint) block, keyed by
+    (a, b) in position order, each block in lexicographic order."""
+    blocks = {}
+    for path in space.paths:
+        blocks.setdefault((path[0], path[-1]), []).append(path)
+    return dict(sorted(blocks.items()))
+
+
+def _constraint_blocks(space):
+    """Yield ((a, b), block paths, K) for each nonempty block, where K
+    stacks the matrices of C_1 .. C_{p-1} restricted to the block, or is
+    None when no C_k acts on it.  Rows go in k order and, within one k,
+    the contracted paths go in order of first appearance."""
+    p = space.length
+    pf = perron_frobenius(space.diagram)
+    # weight[u][v] = sqrt(D[v] / D[u]), the factor of contracting u, v, u
+    weight = np.sqrt(pf[None, :] / pf[:, None]).tolist()
+    for ab, block in _blocks(space).items():
+        rows, cols, vals = [], [], []
+        nrows = 0
+        for k in range(1, p):
+            shorts = {}
+            for j, path in enumerate(block):
+                if path[k + 1] != path[k - 1]:
+                    continue
+                short = path[:k] + path[k + 2:]
+                rows.append(nrows + shorts.setdefault(short, len(shorts)))
+                cols.append(j)
+                vals.append(weight[path[k - 1]][path[k]])
+            nrows += len(shorts)
+        if not nrows:
+            yield ab, block, None
+            continue
+        kmat = np.zeros((nrows, len(block)))
+        kmat[rows, cols] = vals
+        yield ab, block, kmat
 
 
 def essential_subspace(space, tol=1e-9):
     """Orthonormal bases of the joint kernel of all C_k, one per
     (origin, endpoint) pair: {(a, b): rows-are-basis-vectors array}.
     Coordinates follow the lexicographic order of the block's paths."""
-    d = space.diagram
-    p = space.length
-    pf = perron_frobenius(d)
-    origins = range(d.rank) if space.origin is None else (space.origin,)
     out = {}
-    for a in origins:
-        for b in range(d.rank):
-            block = _block_paths(space, a, b)
-            if not block:
-                continue
-            if p < 2:
-                out[a, b] = np.eye(len(block))
-                continue
-            index = {pa: i for i, pa in enumerate(block)}
-            stack = []
-            for k in range(1, p):
-                shorts = {}
-                rows = {}
-                for j, path in enumerate(block):
-                    if path[k + 1] != path[k - 1]:
-                        continue
-                    short = path[:k] + path[k + 2:]
-                    if short not in shorts:
-                        shorts[short] = len(shorts)
-                        rows[shorts[short]] = np.zeros(len(block))
-                    rows[shorts[short]][j] = np.sqrt(pf[path[k]] / pf[path[k - 1]])
-                stack.extend(rows.values())
-            if not stack:
-                out[a, b] = np.eye(len(block))
-                continue
-            kmat = np.vstack(stack)
-            _, sing, vh = np.linalg.svd(kmat)
-            rank = int(np.sum(sing > tol))
-            out[a, b] = vh[rank:]
+    for ab, block, kmat in _constraint_blocks(space):
+        if kmat is None:
+            out[ab] = np.eye(len(block))
+            continue
+        _, sing, vh = np.linalg.svd(kmat)
+        out[ab] = vh[int(np.sum(sing > tol)):]
     return out
 
 
 def essential_dims(space, tol=1e-9):
     """Integer matrix dims[a, b] of essential path counts at this
-    length, computed purely from the path model."""
-    bases = essential_subspace(space, tol)
+    length, computed purely from the path model: the block size minus
+    the number of singular values of its constraint matrix above tol."""
     r = space.diagram.rank
     dims = np.zeros((r, r), dtype=np.int64)
-    for (a, b), basis in bases.items():
-        dims[a, b] = basis.shape[0]
+    for ab, block, kmat in _constraint_blocks(space):
+        rank = 0
+        if kmat is not None:
+            rank = int(np.sum(np.linalg.svd(kmat, compute_uv=False) > tol))
+        dims[ab] = len(block) - rank
     return dims
 
 
 def spanning_json(space, tol=1e-9):
     bases = essential_subspace(space, tol)
+    paths = _blocks(space)
     blocks = []
     for (a, b), basis in sorted(bases.items()):
         blocks.append({
             "origin": a,
             "end": b,
             "dim": int(basis.shape[0]),
-            "paths": [list(p) for p in _block_paths(space, a, b)],
+            "paths": [list(p) for p in paths[a, b]],
             "basis": [[float(x) for x in row] for row in basis],
         })
     return json.dumps({

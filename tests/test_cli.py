@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from adefusion.cli import main
+from adefusion.cli import PATHS_BUDGET, main
 from adefusion.fusion import algebra_for
 
 
@@ -59,6 +60,18 @@ def test_paths_negative_length(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--length" in err
+
+
+def test_paths_over_budget(capsys):
+    # 2,014,924,356 paths: refused from the counts, before any is built
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["paths", "E6", "--length", "30"])
+    assert time.perf_counter() - start < 5
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "2014924356 paths, over the budget of %d" % PATHS_BUDGET in err
 
 
 def test_ocneanu_table(capsys):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from adefusion import (
     build_diagram,
@@ -106,6 +107,19 @@ def test_path_counts_length7():
     v = path_counts(build_diagram("E", 6), 7)
     assert tuple(v) == E6_PATHS7_BY_END
     assert v.sum() == E6_PATHS7_TOTAL
+
+
+def test_path_counts_refuse_int64_overflow():
+    d = build_diagram("E", 6)
+    v = path_counts(d, 68)
+    assert v.dtype == np.int64 and v.min() >= 0
+    want = np.zeros(6, dtype=object)
+    want[0] = 1
+    for _ in range(68):
+        want = want @ d.adjacency.astype(object)
+    assert v.tolist() == want.tolist()
+    with pytest.raises(OverflowError):
+        path_counts(d, 69)
 
 
 def test_left_decomposition_table():

@@ -94,6 +94,15 @@ def test_partition_classes():
         assert sorted(qs.partition[key]) == want, key
 
 
+def test_partition_is_read_only():
+    qs = quantum_symmetry_algebra("E6")
+    with pytest.raises(TypeError):
+        qs.partition["A"] = ()
+    with pytest.raises(TypeError):
+        qs.partition.update(A=())
+    assert quantum_symmetry_algebra("E6").partition["A"] == (0, 4, 5)
+
+
 def test_generators():
     qs = quantum_symmetry_algebra("E6")
     assert qs.element_names[qs.generator_left] == "1⊗0"

@@ -14,7 +14,7 @@ from adefusion import (
     jones_projector,
     q_number,
 )
-from adefusion.path_model import essential_dims
+from adefusion.path_model import _constraint_blocks, essential_dims
 from adefusion.golden import E6_ESS4_PATHS, E6_PATHS7_BY_END, E6_PATHS7_TOTAL
 
 
@@ -129,3 +129,60 @@ def test_operator_bad_index():
         annihilation_operator(space, 3)
     with pytest.raises(ValueError):
         annihilation_operator(space, 0)
+
+
+def test_dims_match_subspace_rows():
+    # the singular-values-only dims agree with the full-SVD bases
+    cases = ([("E", 6, p, None) for p in range(9)]
+             + [("D", 6, p, None) for p in range(8)]
+             + [("A", 11, p, None) for p in range(7)]
+             + [("E", 8, p, None) for p in range(7)] + [("E", 6, 9, 0)])
+    for fam, rank, p, origin in cases:
+        space = PathSpace(build_diagram(fam, rank), p, origin=origin,
+                          cap=max(p, 8))
+        want = np.zeros((rank, rank), dtype=np.int64)
+        for (a, b), basis in essential_subspace(space).items():
+            want[a, b] = basis.shape[0]
+        assert np.array_equal(essential_dims(space), want), (fam, rank, p)
+
+
+def test_subspace_is_annihilated_by_each_operator():
+    # the stacked block constraints agree with annihilation_operator
+    for fam, rank, p in (("E", 6, 6), ("D", 6, 5)):
+        space = PathSpace(build_diagram(fam, rank), p)
+        anns = [annihilation_operator(space, k).matrix for k in range(1, p)]
+        for (a, b), basis in essential_subspace(space).items():
+            cols = [space.index[q] for q in space.paths
+                    if q[0] == a and q[-1] == b]
+            for k, ann in enumerate(anns, 1):
+                out = ann[:, cols] @ basis.T
+                assert np.max(np.abs(out), initial=0) < 1e-9, (a, b, k)
+
+
+def _e6_window():
+    d = build_diagram("E", 6)
+    return [PathSpace(d, p, cap=p) for p in range(7, 12)]
+
+
+def test_kernel_dims_full_coxeter_window():
+    # rows 7..10 of the recurrence, then the vanishing row at p = N-1 = 11
+    ess = essential_matrices("E6")
+    for space in _e6_window():
+        dims = essential_dims(space)
+        p = space.length
+        if p < ess.nrows:
+            assert np.array_equal(dims, ess.e[:, p]), p
+        else:
+            assert not dims.any(), p
+
+
+def test_rank_margin_full_coxeter_window():
+    # tol = 1e-9 sits deep inside the singular-value gap, so the rank
+    # cannot depend on whether U and V are formed
+    for space in _e6_window():
+        for ab, block, kmat in _constraint_blocks(space):
+            sing = np.linalg.svd(kmat, compute_uv=False)
+            kept = sing[sing > 1e-9]
+            dropped = sing[sing <= 1e-9]
+            assert kept.min() >= 1e-2, (space.length, ab)
+            assert np.max(dropped, initial=0) <= 1e-12, (space.length, ab)
