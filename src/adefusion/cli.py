@@ -11,6 +11,9 @@ Commands
     modular-check  commutation of W with the modular generators
     verify-paper   re-check every frozen reference table; PASS/FAIL per item
 
+--format json prints one envelope {tool_version, command, graph, payload},
+encoded here once; the library's *_json helpers return payload dicts.
+
 Exit status: 0 on success, 1 on a domain error (for instance a diagram
 with no positive fusion structure, or a graph with no frozen reference
 data), 2 on a usage error.
@@ -40,9 +43,6 @@ from .ocneanu import (cayley_dot, decompose_right, element_dims, multiply_qs,
 from .path_model import PathSpace, annihilation_operator, enumerate_paths
 from .path_model import essential_dims as path_essential_dims
 from .path_model import spanning_json
-
-COMMANDS = ("fusion", "essential", "paths", "ocneanu", "toric",
-            "modular-check", "verify-paper")
 
 # `paths` refuses a request over either budget before it builds a path.
 # Block (a, b) holds N_p(a, b) paths, and its constraint matrix has
@@ -109,23 +109,19 @@ def _wrap_json(args, graph_name, payload):
 # -- command bodies ------------------------------------------------------
 
 
-def _cmd_fusion(args, diagram):
+def _cmd_fusion(args, parser, diagram):
     algebra = algebra_for(diagram)
     if args.format == "json":
-        return _wrap_json(args, diagram.name, json.loads(fusion_json(algebra)))
+        return fusion_json(algebra)
     return fusion_table_ascii(algebra)
 
 
-def _cmd_essential(args, diagram):
+def _cmd_essential(args, parser, diagram):
     ess = essential_matrices(algebra_for(diagram))
     if args.format == "json":
-        return _wrap_json(args, diagram.name,
-                          json.loads(essential_json(ess)))
-    blocks = []
-    for a in range(diagram.rank):
-        blocks.append(_titled_matrix("E_%s" % diagram.vertex_labels[a],
-                                     ess.e[a]))
-    return "\n\n".join(blocks)
+        return essential_json(ess)
+    return "\n\n".join(_titled_matrix("E_%s" % label, e)
+                       for label, e in zip(diagram.vertex_labels, ess.e))
 
 
 def _paths_over_budget(diagram, length, origin):
@@ -174,20 +170,19 @@ def _cmd_paths(args, parser, diagram):
     space = PathSpace(diagram, args.length, origin=origin,
                       cap=max(args.length, 8))
     if args.format == "json":
-        return _wrap_json(args, diagram.name,
-                          json.loads(spanning_json(space, args.tol)))
+        return spanning_json(space, args.tol)
     dims = path_essential_dims(space, args.tol)
     head = "%d paths of length %d; essential dimensions by (origin, end):" \
         % (len(space.paths), args.length)
     return "\n".join([head] + _matrix_lines(dims))
 
 
-def _cmd_ocneanu(args, diagram):
+def _cmd_ocneanu(args, parser, diagram):
     qs = quantum_symmetry_algebra(diagram.name)
     if args.format == "dot":
         return cayley_dot(qs)
     if args.format == "json":
-        return _wrap_json(args, diagram.name, json.loads(ocneanu_json(qs)))
+        return ocneanu_json(qs)
     dims = element_dims(qs)
     lines = ["dimension %d" % qs.dim]
     for k in ("A", "L", "R", "C"):
@@ -209,20 +204,18 @@ def _cmd_toric(args, parser, diagram):
     else:
         picked = list(range(qs.dim))
     if args.format == "json":
-        payload = {
+        return {
             "names": [qs.element_names[x] for x in picked],
             "matrices": [mats[x].tolist() for x in picked],
         }
-        return _wrap_json(args, diagram.name, payload)
     blocks = [_titled_matrix("W(%s)" % qs.element_names[x], mats[x])
               for x in picked]
     return "\n\n".join(blocks)
 
 
-def _cmd_modular_check(args, diagram):
+def _cmd_modular_check(args, parser, diagram):
     if args.format == "json":
-        return _wrap_json(args, diagram.name,
-                          json.loads(modular_json(diagram.name)))
+        return modular_json(diagram.name)
     rep = ModularRep(diagram.coxeter_number)
     res = modular_invariance_check(diagram.name, tol=args.tol)
     dev = rep.relation_deviations()
@@ -531,16 +524,10 @@ def _e6_registry(check):
     @check("modular-invariance")
     def _():
         origin = _element_of(qs, (0, 0))
-        w = mats[origin].astype(complex)
-        if np.abs(w @ rep.s - rep.s @ w).max() > 1e-9 \
-                or np.abs(w @ rep.t - rep.t @ w).max() > 1e-9:
+        if not modular_invariance_check("E6", element=origin)["invariant"]:
             raise AssertionError("W at the origin does not commute")
-        worst = 0.0
-        for x in range(qs.dim):
-            if x == origin:
-                continue
-            wx = mats[x].astype(complex)
-            worst = max(worst, float(np.abs(wx @ rep.s - rep.s @ wx).max()))
+        worst = max(modular_invariance_check("E6", element=x)["s_deviation"]
+                    for x in range(qs.dim) if x != origin)
         if worst <= 0.1:
             raise AssertionError("every other W nearly commutes (max %.3g)"
                                  % worst)
@@ -577,7 +564,7 @@ def _a11_registry(check):
 _REGISTRIES = {"E6": _e6_registry, "A11": _a11_registry}
 
 
-def _cmd_verify(diagram):
+def _cmd_verify(args, parser, diagram):
     register = _REGISTRIES.get(diagram.name)
     if register is None:
         raise NotDefinedError("no frozen reference data for %s"
@@ -601,6 +588,19 @@ def _cmd_verify(diagram):
 
 # -- entry point ---------------------------------------------------------
 
+# The one list of commands.  Each is called as fn(args, parser, diagram) and
+# returns a payload dict, which main wraps in the envelope and encodes, or
+# text; verify-paper returns its text together with the exit status.
+COMMANDS = {
+    "fusion": _cmd_fusion,
+    "essential": _cmd_essential,
+    "paths": _cmd_paths,
+    "ocneanu": _cmd_ocneanu,
+    "toric": _cmd_toric,
+    "modular-check": _cmd_modular_check,
+    "verify-paper": _cmd_verify,
+}
+
 
 def main(argv=None):
     parser = _build_parser()
@@ -612,25 +612,14 @@ def main(argv=None):
     if args.format == "dot" and args.command != "ocneanu":
         parser.error("dot output only applies to the ocneanu command")
 
-    status = 0
     try:
-        if args.command == "fusion":
-            text = _cmd_fusion(args, diagram)
-        elif args.command == "essential":
-            text = _cmd_essential(args, diagram)
-        elif args.command == "paths":
-            text = _cmd_paths(args, parser, diagram)
-        elif args.command == "ocneanu":
-            text = _cmd_ocneanu(args, diagram)
-        elif args.command == "toric":
-            text = _cmd_toric(args, parser, diagram)
-        elif args.command == "modular-check":
-            text = _cmd_modular_check(args, diagram)
-        else:
-            text, status = _cmd_verify(diagram)
+        out = COMMANDS[args.command](args, parser, diagram)
     except AdeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    text, status = out if isinstance(out, tuple) else (out, 0)
+    if isinstance(text, dict):
+        text = _wrap_json(args, diagram.name, text)
 
     if args.out is not None:
         try:

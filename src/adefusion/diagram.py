@@ -10,7 +10,6 @@ the package are written in this position order.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,10 +29,6 @@ class Family(Enum):
     A = "A"
     D = "D"
     E = "E"
-    # Affine families are reserved names only; build_diagram rejects them.
-    AFFINE_A = "A~"
-    AFFINE_D = "D~"
-    AFFINE_E = "E~"
 
 
 def _frozen(m):
@@ -95,9 +90,6 @@ def build_diagram(family, rank):
             family = Family(family)
         except ValueError:
             raise UnsupportedDiagramError("unknown family %r" % (family,))
-    if family in (Family.AFFINE_A, Family.AFFINE_D, Family.AFFINE_E):
-        raise UnsupportedDiagramError(
-            "affine diagrams are reserved but not constructible")
     rank = int(rank)
 
     if family is Family.A:
@@ -252,10 +244,11 @@ def ascii_diagram(d):
 
 
 def diagram_json(d):
-    return json.dumps({
+    """The diagram as a dict of JSON values."""
+    return {
         "family": d.family.value,
         "rank": d.rank,
         "labels": list(d.vertex_labels),
         "adjacency": d.adjacency.tolist(),
         "coxeter_number": d.coxeter_number,
-    }, indent=2)
+    }

@@ -12,8 +12,6 @@ is what the decomposition routines exploit.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .diagram import Family, build_diagram
@@ -156,10 +154,11 @@ def reduced_essential(ess):
 
 
 def essential_json(ess):
+    """The essential matrices as a dict of JSON values."""
     d = ess.diagram
-    return json.dumps({
+    return {
         "graph": d.name,
         "labels": list(d.vertex_labels),
         "rows": int(ess.nrows),
         "matrices": ess.e.tolist(),
-    }, indent=2, sort_keys=True)
+    }

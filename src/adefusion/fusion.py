@@ -18,7 +18,6 @@ NoPositiveHypergroupError from the failed construction itself.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -351,12 +350,13 @@ def fusion_table_ascii(algebra):
 
 
 def fusion_json(algebra):
+    """The fusion matrices as a dict of JSON values."""
     d = algebra.diagram
-    return json.dumps({
+    return {
         "graph": d.name,
         "labels": list(d.vertex_labels),
         "matrices": algebra.n.tolist(),
-    }, indent=2, sort_keys=True)
+    }
 
 
 def algebra_for(name_or_diagram):

@@ -25,8 +25,6 @@ graph.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ._ratlin import SparseRREF, solve_many
@@ -378,7 +376,8 @@ def cayley_dot(qs):
 
 
 def ocneanu_json(qs):
-    return json.dumps({
+    """The quantum symmetry algebra as a dict of JSON values."""
+    return {
         "graph": qs.diagram.name,
         "dimension": qs.dim,
         "canonical_pairs": [list(p) for p in qs.canonical],
@@ -386,5 +385,5 @@ def ocneanu_json(qs):
         "partition": {k: list(v) for k, v in qs.partition.items()},
         "generators": {"left": qs.generator_left, "right": qs.generator_right},
         "normal_forms": qs.nf.tolist(),
-        "matrices": [m.tolist() for m in s_matrices(qs)],
-    }, indent=2, sort_keys=True)
+        "matrices": [m.tolist() for m in _s_matrices(qs)],
+    }

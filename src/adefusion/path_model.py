@@ -21,8 +21,6 @@ so agreement between the two is a real test.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .diagram import cache_per_diagram, graph_norm, perron_frobenius
@@ -213,6 +211,7 @@ def essential_dims(space, tol=1e-9):
 
 
 def spanning_json(space, tol=1e-9):
+    """The essential bases by (origin, end) block as a dict of JSON values."""
     bases = essential_subspace(space, tol)
     paths = _blocks(space)
     blocks = []
@@ -224,8 +223,8 @@ def spanning_json(space, tol=1e-9):
             "paths": [list(p) for p in paths[a, b]],
             "basis": [[float(x) for x in row] for row in basis],
         })
-    return json.dumps({
+    return {
         "graph": space.diagram.name,
         "length": space.length,
         "blocks": blocks,
-    }, indent=2, sort_keys=True)
+    }

@@ -252,12 +252,14 @@ def test_criterion_9_property_suites():
     from adefusion.ocneanu import ocneanu_json
     alg = algebra_for("E6")
     assert np.array_equal(
-        np.array(_json.loads(fusion_json(alg))["matrices"]), alg.n)
+        np.array(_json.loads(_json.dumps(fusion_json(alg)))["matrices"]),
+        alg.n)
     ess = essential_matrices("E6")
     assert np.array_equal(
-        np.array(_json.loads(essential_json(ess))["matrices"]), ess.e)
+        np.array(_json.loads(_json.dumps(essential_json(ess)))["matrices"]),
+        ess.e)
     qs = quantum_symmetry_algebra("E6")
-    data = _json.loads(ocneanu_json(qs))
+    data = _json.loads(_json.dumps(ocneanu_json(qs)))
     assert np.array_equal(np.array(data["normal_forms"]), qs.nf)
     got = [np.array(m) for m in data["matrices"]]
     assert all(np.array_equal(g, w) for g, w in zip(got, s_matrices(qs)))

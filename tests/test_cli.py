@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from adefusion.cli import PATHS_BUDGET, main
-from adefusion.fusion import algebra_for
+from adefusion.diagram import parse_graph_name
+from adefusion.essential import essential_json, essential_matrices
+from adefusion.fusion import algebra_for, fusion_json
+from adefusion.modular import modular_json, toric_matrices
+from adefusion.ocneanu import ocneanu_json, quantum_symmetry_algebra
+from adefusion.path_model import PathSpace, spanning_json
 
 
 def _run(capsys, argv):
@@ -30,6 +35,33 @@ def test_fusion_json_envelope(capsys):
     assert data["graph"] == "E6"
     got = np.array(data["payload"]["matrices"])
     assert np.array_equal(got, algebra_for("E6").n)
+
+
+LIBRARY_PAYLOADS = {
+    "fusion": lambda g: fusion_json(algebra_for(g)),
+    "essential": lambda g: essential_json(essential_matrices(g)),
+    "paths": lambda g: spanning_json(PathSpace(parse_graph_name(g), 4)),
+    "ocneanu": lambda g: ocneanu_json(quantum_symmetry_algebra(g)),
+    "toric": lambda g: {
+        "names": list(quantum_symmetry_algebra(g).element_names),
+        "matrices": [m.tolist() for m in toric_matrices(g)]},
+    "modular-check": modular_json,
+}
+
+
+@pytest.mark.parametrize("graph", ["E6", "A11"])
+@pytest.mark.parametrize("command", list(LIBRARY_PAYLOADS))
+def test_json_payload_is_library_document(capsys, command, graph):
+    argv = [command, graph, "--format", "json"]
+    if command == "paths":
+        argv += ["--length", "4"]
+    status, out, _ = _run(capsys, argv)
+    assert status == 0
+    data = json.loads(out)
+    assert set(data) == {"tool_version", "command", "graph", "payload"}
+    assert (data["command"], data["graph"]) == (command, graph)
+    want = json.loads(json.dumps(LIBRARY_PAYLOADS[command](graph)))
+    assert data["payload"] == want
 
 
 def test_essential_table(capsys):

@@ -6,6 +6,7 @@ from adefusion import (
     build_diagram,
     fusion_matrices,
     modular_invariance_check,
+    parse_graph_name,
     partition_function,
     quantum_symmetry_algebra,
     s_matrices,
@@ -107,6 +108,26 @@ def test_only_identity_commutes():
     worst = max(max(r["s_deviation"], r["t_deviation"])
                 for r in rows if not r["invariant"])
     assert worst > 0.1
+
+
+def _t_deviation(rep, w):
+    return np.abs(w @ rep.t - rep.t @ w).max()
+
+
+def test_exact_t_commutation():
+    rep = ModularRep(12)
+    for (m, n), commutes in (((0, 6), True), ((0, 1), False)):
+        # 0-based (0, 6) is 1^2 = 7^2 mod 48; (0, 1) is 1^2 != 2^2 mod 48
+        w = np.zeros((11, 11), dtype=np.int64)
+        w[m, n] = 1
+        assert rep.commutes_with_t(w) == commutes
+        assert (_t_deviation(rep, w) < 1e-9) == commutes
+    for graph in ("E6", "E8", "A11"):
+        rep = ModularRep(parse_graph_name(graph).coxeter_number)
+        for x, w in enumerate(toric_matrices(graph)):
+            res = modular_invariance_check(graph, element=x)
+            assert rep.commutes_with_t(w) == (res["t_deviation"] < 1e-9)
+            assert res["t_deviation"] == _t_deviation(rep, w)
 
 
 def test_partition_function_strings():
