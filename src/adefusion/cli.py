@@ -215,7 +215,7 @@ def _cmd_toric(args, parser, diagram):
 
 def _cmd_modular_check(args, parser, diagram):
     if args.format == "json":
-        return modular_json(diagram.name)
+        return modular_json(diagram.name, tol=args.tol)
     rep = ModularRep(diagram.coxeter_number)
     res = modular_invariance_check(diagram.name, tol=args.tol)
     dev = rep.relation_deviations()

@@ -174,9 +174,9 @@ def partition_function(graph):
     return "+".join(parts)
 
 
-def modular_json(graph):
-    """Toric matrices, invariant and invariance check as a dict of JSON
-    values."""
+def modular_json(graph, tol=1e-9):
+    """Toric matrices, invariant and invariance check (at tol) as a dict
+    of JSON values."""
     qs = quantum_symmetry_algebra(graph)
     rep = ModularRep(qs.diagram.coxeter_number)
     return {
@@ -186,5 +186,5 @@ def modular_json(graph):
         "names": list(qs.element_names),
         "toric": [m.tolist() for m in _toric_matrices(graph)],
         "partition_function": partition_function(graph),
-        "invariance": modular_invariance_check(graph),
+        "invariance": modular_invariance_check(graph, tol=tol),
     }

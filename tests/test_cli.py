@@ -157,6 +157,15 @@ def test_modular_check_json(capsys):
     assert payload["invariance"]["invariant"] is True
 
 
+@pytest.mark.parametrize("tol, verdict", [("1e-9", True), ("1e-30", False)])
+def test_modular_check_formats_agree_on_tol(capsys, tol, verdict):
+    argv = ["modular-check", "E6", "--tol", tol]
+    _, table, _ = _run(capsys, argv)
+    _, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert ("invariant: yes" in table) == verdict
+    assert json.loads(out)["payload"]["invariance"]["invariant"] is verdict
+
+
 def test_domain_error_exit_one(capsys):
     status, out, err = _run(capsys, ["fusion", "E7"])
     assert status == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from adefusion import (
     NoPositiveHypergroupError,
+    StructuralError,
     ambichiral_subalgebra,
     build_diagram,
     fusion_closed_subsets,
@@ -13,7 +15,7 @@ from adefusion import (
     fusion_table_ascii,
     multiply,
 )
-from adefusion.fusion import algebra_for
+from adefusion.fusion import _Fail, _verify_ring, algebra_for
 from adefusion.golden import (
     E6_AMBI_LABELS,
     E6_AMBI_POSITIONS,
@@ -90,10 +92,116 @@ def test_e7_has_no_positive_ring():
     assert "negative structure constant" in str(err.value)
 
 
-def test_d5_has_no_positive_ring():
+@pytest.mark.parametrize("rank", [5, 7, 21, 41], ids="D{}".format)
+def test_d_odd_has_no_positive_ring(rank):
     with pytest.raises(NoPositiveHypergroupError) as err:
-        fusion_matrices(build_diagram("D", 5))
+        fusion_matrices(build_diagram("D", rank))
     assert "fork rows" in str(err.value)
+
+
+def test_d38_still_refused_at_the_split_cap():
+    with pytest.raises(StructuralError, match="search space too large"):
+        fusion_matrices(build_diagram("D", 38))
+
+
+def _ring_by_closure_loop(n):
+    """Reference for _verify_ring: the checks it made before closure was
+    proved, with closure tested over all r^2 pairs."""
+    r = len(n)
+    eye = np.eye(r, dtype=np.int64)
+    if np.any(n < 0) or not np.array_equal(n[0], eye):
+        return False
+    if not np.array_equal(n[:, 0, :], eye):
+        return False
+    for a in range(r):
+        for b in range(r):
+            prod = n[a] @ n[b]
+            if not np.array_equal(prod, n[b] @ n[a]):
+                return False
+            if not np.array_equal(prod, np.tensordot(n[a][b], n, axes=(0, 0))):
+                return False
+    return True
+
+
+ACCEPTED = ([("A", r) for r in range(1, 31)]
+            + [("D", r) for r in range(4, 37, 2)] + [("E", 6), ("E", 8)])
+
+
+def test_accepted_tables_close_by_the_old_loop():
+    for family, rank in ACCEPTED:
+        alg = fusion_matrices(build_diagram(family, rank))
+        assert _ring_by_closure_loop(alg.n), alg.diagram.name
+
+
+def _negative(n):
+    n[2, 3, 1] = n[3, 2, 1] = -1
+
+
+def _wrong_unit(n):
+    n[0, 1, 1] += 1
+
+
+def _bad_row_zero(n):
+    n[2, 0, 3] += 1
+
+
+def _asymmetric(n):
+    n[2, 3, 4] += 1
+
+
+def _non_commuting(n):
+    n[2, 2, 3] += 1
+
+
+@pytest.mark.parametrize("graph", [("A", 7), ("D", 6), ("D", 10), ("E", 6),
+                                   ("E", 8)])
+@pytest.mark.parametrize("corrupt, reason", [
+    (_negative, "negative structure constant"),
+    (_wrong_unit, "vertex 0 is not the unit"),
+    (_bad_row_zero, "row 0 of matrix 2"),
+    (_asymmetric, "not symmetric"),
+    (_non_commuting, "do not commute"),
+])
+def test_corrupted_table_is_refused(graph, corrupt, reason):
+    alg = fusion_matrices(build_diagram(*graph))
+    n = alg.n.copy()
+    corrupt(n)
+    with pytest.raises(_Fail, match=reason):
+        _verify_ring(alg.diagram, list(n))
+    assert not _ring_by_closure_loop(n)
+
+
+def _fork_splits_by_search(alg):
+    """Reference for the pinned solve: every fork split under the budget
+    s, enumerated over the product space and checked by the closure
+    loop."""
+    g, r = alg.diagram.adjacency, alg.rank
+    f, f1 = r - 3, r - 2
+    nf = alg.n[f]
+    total = g @ nf - alg.n[f - 1]
+    x = [np.eye(r, dtype=np.int64)[f1], nf[0]]
+    for i in range(1, f):
+        x.append(nf[i] - x[i - 1])
+    s = nf[f] - x[f - 1]
+    found = []
+    for combo in itertools.product(*[range(int(v) + 1) for v in s]):
+        y = np.array(combo, dtype=np.int64)
+        if not np.array_equal(y @ g, nf[f1]):
+            continue
+        nf1 = np.vstack(x + [y, s - y])
+        nf2 = total - nf1
+        n = np.concatenate([alg.n[:f1], [nf1, nf2]])
+        if np.all(nf2 >= 0) and _ring_by_closure_loop(n):
+            found.append((nf1, nf2))
+    return found
+
+
+@pytest.mark.parametrize("rank", range(4, 25, 2))
+def test_fork_split_matches_product_search(rank):
+    alg = fusion_matrices(build_diagram("D", rank))
+    (nf1, nf2), = _fork_splits_by_search(alg)
+    assert np.array_equal(alg.n[rank - 2], nf1)
+    assert np.array_equal(alg.n[rank - 1], nf2)
 
 
 def test_e6_ambichiral_subset():
