@@ -88,8 +88,8 @@ def solve_many(a, bs):
     each a list with one entry per row of a.  Returns (solutions, nullity):
     one particular solution per b, None where that system is inconsistent,
     and the nullspace dimension of A.  One dense Gauss-Jordan pass over
-    the matrix augmented by every right-hand side at once; the systems
-    solved here are at most a few dozen variables.
+    the matrix augmented by every right-hand side at once; its callers,
+    all in fusion, solve systems of at most a few dozen variables.
     """
     m = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
          for i, row in enumerate(a)]

@@ -19,7 +19,6 @@ construction itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -249,24 +248,30 @@ def multiply(algebra, a, b):
 
 def fusion_closed_subsets(algebra):
     """All vertex subsets containing 0 whose pairwise products stay
-    inside the subset, sorted by size then lexicographically."""
-    r = algebra.rank
-    support = {}
-    for a in range(r):
-        for b in range(a, r):
-            sup = frozenset(np.nonzero(algebra.n[a, b])[0].tolist())
-            support[a, b] = sup
-    closed = []
-    for k in range(0, r):
-        for rest in itertools.combinations(range(1, r), k):
-            sub = (0,) + rest
-            members = set(sub)
-            ok = all(support[min(a, b), max(a, b)] <= members
-                     for a in sub for b in sub if a <= b)
-            if ok:
-                closed.append(sub)
-    closed.sort(key=lambda s: (len(s), s))
-    return closed
+    inside the subset, sorted by size then lexicographically.
+
+    Grown rather than enumerated, one vertex at a time from the closure
+    of {0}.  Every closed T is reached: for a closed S inside T found
+    already and any v of T outside S, the closure of S + {v} is a closed
+    subset of T strictly larger than S."""
+    support = algebra.n > 0
+
+    def closure(sub):
+        idx = np.array(sub)
+        while True:
+            prods = np.flatnonzero(support[np.ix_(idx, idx)].any(axis=(0, 1)))
+            grown = np.union1d(idx, prods)
+            if len(grown) == len(idx):
+                return tuple(grown.tolist())
+            idx = grown
+
+    found, todo = set(), [(0,)]
+    while todo:
+        sub = closure(todo.pop())
+        if sub not in found:
+            found.add(sub)
+            todo += [sub + (v,) for v in range(algebra.rank) if v not in sub]
+    return sorted(found, key=lambda s: (len(s), s))
 
 
 def ambichiral_subalgebra(algebra):

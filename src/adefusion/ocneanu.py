@@ -8,9 +8,11 @@ set G of J span those for all of J; G is chosen greedily and certified
 exactly (every x in J must lie in the span of products of G), and only
 |G| r^2 relation vectors are imposed.  The quotient is computed exactly:
 the relation vectors span an integer subspace of the r^2-dimensional
-tensor square, reduced by sparse rational row echelon, and the quotient
-dimension must come out to r^2/|J|.  The normal forms of all r^2 pairs
-come from one exact elimination of the canonical-residue block.
+tensor square, reduced by sparse rational row echelon with the pair
+columns in reversed order, and the quotient dimension must come out to
+r^2/|J|.  Each pivot is then the latest pair of its relation, so the
+free columns are the canonical basis and every pivot row, negated, is
+the normal form of its pair: both are read off the one elimination.
 
 Elements are written a(x)b for vertex pairs; the canonical basis is the
 greedy one (first r^2/|J| pairs in position order that stay independent
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._ratlin import SparseRREF, solve_many
+from ._ratlin import SparseRREF
 from .diagram import cache_per_diagram
 from .errors import StructuralError
 from .fusion import ambichiral_subalgebra, fusion_matrices
@@ -117,53 +119,44 @@ class QuantumSymmetries:
         cons = algebra.n
         self.ambichiral_generators = _ambichiral_generators(
             cons, self.ambichiral)
+        # pair p = a*r + b sits in column r*r - 1 - p, so each pivot (the
+        # smallest column of its row) is the latest pair of its relation
+        last = r * r - 1
         rel = SparseRREF(r * r)
         for x in self.ambichiral_generators:
             for a in range(r):
                 for b in range(r):
-                    vec = {}
-                    for c in np.nonzero(cons[a, x])[0]:
-                        col = int(c) * r + b
-                        vec[col] = vec.get(col, 0) + int(cons[a, x, c])
-                    for d in np.nonzero(cons[x, b])[0]:
-                        col = a * r + int(d)
-                        vec[col] = vec.get(col, 0) - int(cons[x, b, d])
-                    rel.insert(vec)
+                    vec = np.zeros((r, r), dtype=np.int64)
+                    vec[:, b] += cons[a, x]
+                    vec[a, :] -= cons[x, b]
+                    vec = vec.ravel()[::-1]
+                    cols = np.flatnonzero(vec)
+                    rel.insert(dict(zip(cols.tolist(), vec[cols].tolist())))
         if rel.rank != r * r - self.dim:
             raise StructuralError(
                 "relation rank %d leaves dimension %d, expected %d"
                 % (rel.rank, r * r - rel.rank, self.dim))
         self._relations = rel
 
-        residues = [rel.residue({a * r + b: 1}) for a in range(r) for b in range(r)]
-        accepted = SparseRREF(r * r)
-        canonical = []
-        for p in range(r * r):
-            if len(canonical) == self.dim:
-                break
-            if accepted.insert(residues[p]):
-                canonical.append(p)
-        if len(canonical) != self.dim:
-            raise StructuralError("could not complete a canonical basis")
+        # A pair is independent of the earlier pairs modulo the relations
+        # exactly when its column is free, so the free columns are the
+        # greedy basis, dim of them by the rank check.  A pivot row reads
+        # e_p + sum c_f e_f = 0 in the quotient with every f canonical, so
+        # -c is the one coordinate vector of e_p over that basis.
+        canonical = [p for p in range(r * r) if last - p not in rel.rows]
         self.canonical = tuple(divmod(p, r) for p in canonical)
-
-        # residues live on the free columns; the canonical residues form a
-        # square block, and one elimination solves it for every pair at once
-        free = [c for c in range(r * r) if c not in rel.rows]
-        block = [[residues[p].get(f, 0) for p in canonical] for f in free]
-        rhs = [[rho.get(f, 0) for f in free] for rho in residues]
-        sols, nullity = solve_many(block, rhs)
         nf = np.zeros((r, r, self.dim), dtype=np.int64)
-        for p, sol in enumerate(sols):
-            a, b = divmod(p, r)
-            if sol is None or nullity:
-                raise StructuralError(
-                    "normal form of %d(x)%d is not unique" % (a, b))
-            for i, coef in enumerate(sol):
+        flat = nf.reshape(r * r, self.dim)
+        flat[canonical, range(self.dim)] = 1
+        index = {last - p: i for i, p in enumerate(canonical)}
+        for col, row in rel.rows.items():
+            for f, coef in row.items():
                 if coef.denominator != 1:
                     raise StructuralError(
-                        "normal form of %d(x)%d is not integral" % (a, b))
-                nf[a, b, i] = int(coef)
+                        "normal form of %d(x)%d is not integral"
+                        % divmod(last - col, r))
+                if f != col:
+                    flat[last - col, index[f]] = -int(coef)
         nf.setflags(write=False)
         self.nf = nf
 

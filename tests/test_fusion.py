@@ -235,6 +235,36 @@ def test_closed_subsets_e6():
     assert subs == sorted(subs, key=lambda s: (len(s), s))
 
 
+def _closed_subsets_by_enumeration(alg):
+    """Reference for the grown subsets: every subset containing 0,
+    checked pair by pair."""
+    r = alg.rank
+    closed = []
+    for k in range(r):
+        for rest in itertools.combinations(range(1, r), k):
+            sub = (0,) + rest
+            if all(set(np.nonzero(alg.n[a, b])[0]) <= set(sub)
+                   for a in sub for b in sub):
+                closed.append(sub)
+    return sorted(closed, key=lambda s: (len(s), s))
+
+
+@pytest.mark.parametrize("graph", ["A%d" % n for n in range(1, 13)]
+                         + ["D%d" % n for n in range(4, 13, 2)]
+                         + ["E6", "E8"])
+def test_closed_subsets_match_enumeration(graph):
+    alg = algebra_for(graph)
+    assert fusion_closed_subsets(alg) == _closed_subsets_by_enumeration(alg)
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_closed_subsets_of_a_n(n):
+    # 2^(n-1) subsets contain 0 and four are closed: the unit, the simple
+    # current, the even vertices, everything; the search must not visit all
+    assert fusion_closed_subsets(algebra_for("A%d" % n)) == [
+        (0,), (0, n - 1), tuple(range(0, n, 2)), tuple(range(n))]
+
+
 def test_table_ascii_block_order():
     lines = fusion_table_ascii(algebra_for("E6")).splitlines()
     want = [str(v) for v in E6_BLOCK_ORDER]

@@ -10,7 +10,7 @@ from adefusion import (
     quantum_symmetry_algebra,
     s_matrices,
 )
-from adefusion._ratlin import SparseRREF
+from adefusion._ratlin import SparseRREF, solve_many
 from adefusion.ocneanu import cayley_dot, element_dims
 from adefusion.golden import (
     A11_QS_DIM,
@@ -185,10 +185,12 @@ def _full_relations(qs):
             for b in range(r):
                 vec = {}
                 for c in range(r):
+                    col = r * r - 1 - (c * r + b)
                     if cons[a, x, c]:
-                        vec[c * r + b] = vec.get(c * r + b, 0) + int(cons[a, x, c])
+                        vec[col] = vec.get(col, 0) + int(cons[a, x, c])
+                    col = r * r - 1 - (a * r + c)
                     if cons[x, b, c]:
-                        vec[a * r + c] = vec.get(a * r + c, 0) - int(cons[x, b, c])
+                        vec[col] = vec.get(col, 0) - int(cons[x, b, c])
                 rel.insert(vec)
     return rel
 
@@ -199,6 +201,42 @@ def test_generator_relations_match_full_ambichiral(graph):
     assert len(qs.ambichiral_generators) < len(qs.ambichiral)
     assert set(qs.ambichiral_generators) <= set(qs.ambichiral)
     assert qs._relations.rows == _full_relations(qs).rows
+
+
+def _two_stage_basis(qs):
+    """Reference for the read-off: relations in pair order, each pair's
+    residue, a greedy echelon of residues for the basis, then one exact
+    solve of the canonical-residue block for every normal form."""
+    r = qs.algebra.rank
+    cons = qs.algebra.n
+    rel = SparseRREF(r * r)
+    for x in qs.ambichiral_generators:
+        for a in range(r):
+            for b in range(r):
+                vec = {}
+                for c in range(r):
+                    vec[c * r + b] = vec.get(c * r + b, 0) + int(cons[a, x, c])
+                    vec[a * r + c] = vec.get(a * r + c, 0) - int(cons[x, b, c])
+                rel.insert(vec)
+    residues = [rel.residue({p: 1}) for p in range(r * r)]
+    accepted = SparseRREF(r * r)
+    canonical = [p for p in range(r * r) if accepted.insert(residues[p])]
+    free = [c for c in range(r * r) if c not in rel.rows]
+    block = [[residues[p].get(f, 0) for p in canonical] for f in free]
+    rhs = [[rho.get(f, 0) for f in free] for rho in residues]
+    sols, nullity = solve_many(block, rhs)
+    assert nullity == 0 and all(sol is not None for sol in sols)
+    assert all(c.denominator == 1 for sol in sols for c in sol)
+    nf = np.array([[int(c) for c in sol] for sol in sols], dtype=np.int64)
+    return tuple(divmod(p, r) for p in canonical), nf.reshape(r, r, -1)
+
+
+@pytest.mark.parametrize("graph", ["E6", "E8", "A11", "A16"])
+def test_basis_and_normal_forms_match_two_stage_construction(graph):
+    qs = quantum_symmetry_algebra(graph)
+    canonical, nf = _two_stage_basis(qs)
+    assert qs.canonical == canonical
+    assert np.array_equal(qs.nf, nf)
 
 
 def test_ambichiral_generators():
