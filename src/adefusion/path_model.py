@@ -8,11 +8,18 @@ e_k = C+_k C_k / beta realize the Temperley-Lieb projectors, and the
 essential subspace at length p is the joint kernel of all C_k.
 
 The C_k preserve the origin and the endpoint, so the kernel splits into
-(origin, endpoint) blocks; each block's C_k are stacked into one
-constraint matrix K.  essential_dims reads a block's dimension from the
-singular values of K alone (block size minus those above tol);
-essential_subspace takes the full SVD of the same K for its orthonormal
-bases, so both apply the same rank rule to the same matrix.
+(origin, endpoint) blocks.  essential_dims builds each block's kernel one
+length at a time (Ocneanu's essential-path construction).  For k <= q-2,
+C_k acts only on the length-(q-1) prefix, so ker_q(a, b) is the part of
+ker C_{q-1} inside the sum over c ~ b of ker_{q-1}(a, c), each path
+extended by the step c -> b.  Each step takes one SVD of C_{q-1} times
+that extended orthonormal basis, a matrix with one row per length-(q-2)
+path from a to b and only sum_c dim ker_{q-1}(a, c) columns; tol applies
+to the singular values of each step.  essential_subspace instead stacks a
+block's C_1 .. C_{p-1} into one constraint matrix K and takes its SVD
+(forming U only when K is wide), so its bases come in the block's
+lexicographic path coordinates; there tol applies to the singular values
+of K.
 
 This module is the numeric cross-check for the integer essential-path
 counts: it never looks at the recurrence, only at explicit path vectors,
@@ -191,22 +198,72 @@ def essential_subspace(space, tol=1e-9):
         if kmat is None:
             out[ab] = np.eye(len(block))
             continue
-        _, sing, vh = np.linalg.svd(kmat)
+        _, sing, vh = np.linalg.svd(
+            kmat, full_matrices=kmat.shape[0] < kmat.shape[1])
         out[ab] = vh[int(np.sum(sing > tol)):]
+    return out
+
+
+def _kernel_step(prev2, prev, nbrs, weight, tol):
+    """Kernel bases at length q from those at q-1 and q-2, from one
+    origin.  prev[c] has one row per length-(q-1) path to c and one
+    orthonormal column per kernel vector; the rows of block c are the
+    rows of prev2[e] for each e ~ c in turn, each path extended by c."""
+    out = []
+    for b, cs in enumerate(nbrs):
+        # B: the bases at q-1 for c ~ b side by side, each path extended
+        # by c -> b.  C_{q-1} contracts (.., b, c, b) to (.., b), so C B is
+        # a weighted sum of the row slices of B whose paths end that way
+        basis = np.zeros((sum(prev[c].shape[0] for c in cs),
+                          sum(prev[c].shape[1] for c in cs)))
+        cb = np.zeros((prev2[b].shape[0], basis.shape[1]))
+        i = j = 0
+        for c in cs:
+            n, w = prev[c].shape
+            basis[i:i + n, j:j + w] = prev[c]
+            off = i + sum(prev2[e].shape[0] for e in nbrs[c] if e < b)
+            cb += weight[b][c] * basis[off:off + len(cb)]
+            i, j = i + n, j + w
+        if cb.size:
+            _, sing, vh = np.linalg.svd(cb, full_matrices=len(cb) < j)
+            basis = basis @ vh[int(np.sum(sing > tol)):].T
+        out.append(basis)
+    return out
+
+
+def _prefix_kernels(space, tol):
+    """Orthonormal kernel bases {(a, b): paths x kernel array} for each
+    nonempty block, built one length at a time.  The rows follow the
+    block's paths in lexicographic order of the reversed path."""
+    d = space.diagram
+    r = d.rank
+    pf = perron_frobenius(d)
+    # weight[b][c] = sqrt(D[c] / D[b]), the factor of contracting b, c, b
+    weight = np.sqrt(pf[None, :] / pf[:, None]).tolist()
+    nbrs = [d.neighbors(b) for b in range(r)]
+    out = {}
+    for a in range(r) if space.origin is None else (space.origin,):
+        prev2 = [np.zeros((0, 0))] * r
+        prev = [np.ones((1, 1)) if b == a else np.zeros((0, 0))
+                for b in range(r)]
+        for _ in range(space.length):
+            prev2, prev = prev, _kernel_step(prev2, prev, nbrs, weight, tol)
+        out.update(((a, b), basis) for b, basis in enumerate(prev)
+                   if basis.shape[0])
     return out
 
 
 def essential_dims(space, tol=1e-9):
     """Integer matrix dims[a, b] of essential path counts at this
-    length, computed purely from the path model: the block size minus
-    the number of singular values of its constraint matrix above tol."""
+    length, computed purely from the path model, one length at a time:
+    the kernel at length q is the null space of C_{q-1} on the kernel at
+    q-1 extended by one step, so each step takes one small SVD of C_{q-1}
+    times the extended orthonormal basis.  tol applies to the singular
+    values of each of those products: the ones above it are its rank."""
     r = space.diagram.rank
     dims = np.zeros((r, r), dtype=np.int64)
-    for ab, block, kmat in _constraint_blocks(space):
-        rank = 0
-        if kmat is not None:
-            rank = int(np.sum(np.linalg.svd(kmat, compute_uv=False) > tol))
-        dims[ab] = len(block) - rank
+    for ab, basis in _prefix_kernels(space, tol).items():
+        dims[ab] = basis.shape[1]
     return dims
 
 

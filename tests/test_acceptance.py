@@ -144,9 +144,12 @@ def test_criterion_5_decomposition_tables():
 def test_criterion_6_path_model_oracle():
     d = build_diagram("E", 6)
     ess = essential_matrices("E6")
-    for p in range(0, 7):
-        dims = essential_dims(PathSpace(d, p), tol=1e-9)
-        assert np.array_equal(dims, ess.e[:, p, :]), p
+    # the whole Coxeter window: rows 0..10, then zero at p = N-1 = 11
+    assert ess.nrows == 11
+    for p in range(0, 12):
+        dims = essential_dims(PathSpace(d, p, cap=max(8, p)), tol=1e-9)
+        want = ess.e[:, p, :] if p < ess.nrows else np.zeros_like(dims)
+        assert np.array_equal(dims, want), p
     beta = graph_norm(d)
     for p in range(2, 9):
         space = PathSpace(d, p, origin=0, cap=max(8, p))

@@ -14,7 +14,12 @@ from adefusion import (
     jones_projector,
     q_number,
 )
-from adefusion.path_model import _constraint_blocks, essential_dims
+from adefusion.path_model import (
+    _blocks,
+    _constraint_blocks,
+    _prefix_kernels,
+    essential_dims,
+)
 from adefusion.golden import E6_ESS4_PATHS, E6_PATHS7_BY_END, E6_PATHS7_TOTAL
 
 
@@ -186,3 +191,103 @@ def test_rank_margin_full_coxeter_window():
             dropped = sing[sing <= 1e-9]
             assert kept.min() >= 1e-2, (space.length, ab)
             assert np.max(dropped, initial=0) <= 1e-12, (space.length, ab)
+
+
+def _stacked_dims(space, tol=1e-9):
+    # reference oracle: block size minus the rank of the block's stacked
+    # constraint matrix K
+    r = space.diagram.rank
+    dims = np.zeros((r, r), dtype=np.int64)
+    for ab, block, kmat in _constraint_blocks(space):
+        rank = 0
+        if kmat is not None:
+            rank = int(np.sum(np.linalg.svd(kmat, compute_uv=False) > tol))
+        dims[ab] = len(block) - rank
+    return dims
+
+
+# the whole E6 and D6 Coxeter windows, and E8 and A11 as far as the
+# stacked-K reference runs in about a second each
+_WINDOWS = ([("E", 6, p, None) for p in range(12)]
+            + [("D", 6, p, None) for p in range(10)]
+            + [("E", 8, p, None) for p in range(11)]
+            + [("A", 11, p, None) for p in range(11)]
+            + [("E", 6, p, 0) for p in range(10)])
+
+
+def _window_spaces():
+    for fam, rank, p, origin in _WINDOWS:
+        yield PathSpace(build_diagram(fam, rank), p, origin=origin,
+                        cap=max(p, 8))
+
+
+def test_dims_match_stacked_constraint_rule():
+    # the prefix-kernel steps give the same integers as the rank of K
+    for space in _window_spaces():
+        assert np.array_equal(essential_dims(space), _stacked_dims(space)), \
+            space
+
+
+def test_prefix_kernel_margin(monkeypatch):
+    # every step's singular values sit far from tol = 1e-9 on both sides
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(*args, **kwargs):
+        out = svd(*args, **kwargs)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for space in _window_spaces():
+        essential_dims(space)
+    sing = np.concatenate(seen)
+    assert len(seen) > 1000 and sing.size
+    assert sing[sing > 1e-9].min() >= 0.5
+    assert np.max(sing[sing <= 1e-9], initial=0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [12, 13])
+def test_kernel_dims_e8_past_the_stacked_window(p):
+    # beyond the stacked-K rule's reach (about 27 s at p = 12); the
+    # prefix kernels take well under a second
+    space = PathSpace(build_diagram("E", 8), p, cap=p)
+    ess = essential_matrices("E8")
+    assert np.array_equal(essential_dims(space), ess.e[:, p])
+
+
+def test_subspace_bases_match_full_svd():
+    # dropping U (full_matrices only when K is wide) leaves vh bit for bit
+    for fam, rank, lengths in (("E", 6, range(6, 10)), ("E", 8, range(6, 9))):
+        d = build_diagram(fam, rank)
+        for p in lengths:
+            space = PathSpace(d, p, cap=max(p, 8))
+            bases = essential_subspace(space)
+            for ab, block, kmat in _constraint_blocks(space):
+                if kmat is None:
+                    continue
+                _, sing, vh = np.linalg.svd(kmat)
+                want = vh[int(np.sum(sing > 1e-9)):]
+                assert bases[ab].shape == want.shape, (fam, p, ab)
+                assert bases[ab].tobytes() == want.tobytes(), (fam, p, ab)
+
+
+def test_prefix_kernels_span_the_stacked_kernels():
+    # the same subspace, not only the same dimension: the orthogonal
+    # projectors agree once the rows are put in lexicographic path order
+    for fam, rank, lengths in (("E", 6, range(10)), ("D", 6, range(9)),
+                               ("A", 7, range(8))):
+        d = build_diagram(fam, rank)
+        for p in lengths:
+            space = PathSpace(d, p, cap=max(p, 8))
+            prefix = _prefix_kernels(space, 1e-9)
+            blocks = _blocks(space)
+            stacked = essential_subspace(space)
+            assert prefix.keys() == stacked.keys(), (fam, p)
+            for ab, basis in stacked.items():
+                block = blocks[ab]
+                order = sorted(range(len(block)), key=lambda i: block[i][::-1])
+                mine = np.zeros_like(prefix[ab])
+                mine[order] = prefix[ab]
+                assert np.allclose(mine @ mine.T, basis.T @ basis,
+                                   atol=1e-9), (fam, p, ab)
