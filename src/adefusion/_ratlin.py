@@ -48,9 +48,6 @@ class SparseRREF:
                     v.pop(c, None)
         return v
 
-    def contains(self, vec):
-        return not self.residue(vec)
-
     def insert(self, vec):
         """Add vec to the span.  Returns True if the rank grew."""
         r = self.residue(vec)

@@ -68,10 +68,23 @@ def _build_parser():
     p.add_argument("--origin", default=None, metavar="V",
                    help="restrict paths to this starting vertex label")
     p.add_argument("--length", type=int, default=None, metavar="N")
-    p.add_argument("--tol", type=float, default=1e-9, metavar="X")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, metavar="X",
+                   help="a finite number above 0 (default 1e-9)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the output to a file instead of stdout")
     return p
+
+
+def _tolerance(text):
+    """--tol as a float, refused unless finite and above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number above 0, got %r" % text)
+    return value
 
 
 def _parse_element(parser, diagram, text):
@@ -127,10 +140,12 @@ def _cmd_essential(args, parser, diagram):
 def _paths_over_budget(diagram, length, origin):
     """Why paths of this length are over budget, or None; counted from
     path_counts alone."""
-    if diagram.rank > 1 and length - 1 > BLOCK_ROWS_BUDGET:
-        # each C_k contributes at least one row to every nonempty block
-        return ("at least %d constraint rows per (origin, end) block, over "
-                "the budget of %d rows" % (length - 1, BLOCK_ROWS_BUDGET))
+    if length - 1 > BLOCK_ROWS_BUDGET:
+        # each C_k contributes at least one row to every nonempty block, and
+        # the count below takes one step per unit of length, on every graph
+        return ("length over the bound of %d, which keeps C_1 .. C_{p-1} "
+                "within the budget of %d constraint rows per block"
+                % (BLOCK_ROWS_BUDGET + 1, BLOCK_ROWS_BUDGET))
     origins = range(diagram.rank) if origin is None else (origin,)
     try:
         total = sum(sum(path_counts(diagram, length, a).tolist())

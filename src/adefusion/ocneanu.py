@@ -1,28 +1,30 @@
 """Algebra of quantum symmetries of an ADE diagram.
 
-Take the tensor square of the fusion algebra and quotient by the
-relations (a.x) (x) b = a (x) (x.b) for x in the ambichiral subset J,
-i.e. glue the two factors over J.  Writing R_x(a,b) for the difference,
-R_xy(a,b) = R_y(a.x, b) + R_x(a, y.b), so the relations for a generating
-set G of J span those for all of J; G is chosen greedily and certified
-exactly (every x in J must lie in the span of products of G), and only
-|G| r^2 relation vectors are imposed.  The quotient is computed exactly:
-the relation vectors span an integer subspace of the r^2-dimensional
-tensor square, reduced by sparse rational row echelon with the pair
-columns in reversed order, and the quotient dimension must come out to
-r^2/|J|.  Each pivot is then the latest pair of its relation, so the
-free columns are the canonical basis and every pivot row, negated, is
-the normal form of its pair: both are read off the one elimination.
+The algebra is A (x)_J A, the tensor square of the fusion algebra glued
+over the ambichiral subset J.  Following Ocneanu and Coquereaux-Trinchero,
+the pairs carry the inner product <a(x)b, c(x)d> = sum_{j in J}
+N_aj^c N_jb^d, and the quotient is by its radical.  The exchange
+relations (a.x)(x)b = a(x)(x.b), x in J, lie in that radical because J
+is closed under fusion, so with r^2/|J| dimensions left the quotient is
+A (x)_J A.  The simple objects are pairs of norm 1: walking those in
+position order and keeping each one orthogonal to all kept before must
+give exactly r^2/|J| of them.  With C the Gram columns at the simple
+objects, Gram = C.C^T is checked exactly, block by block, so every pair is
+the sum of the simple objects its row of C names, and that row is its
+image in the quotient.
 
-Elements are written a(x)b for vertex pairs; the canonical basis is the
-greedy one (first r^2/|J| pairs in position order that stay independent
-modulo the relations), each named after its lexicographically smallest
-label pair among equivalent single-pair representatives;
-QuantumSymmetries.element(a, b) looks up the element a pair equals on its
-own, and per_element builds one matrix per element from those pairs.  Left
-and right chiral generators are the images of 1(x)0 and 0(x)1, and
-multiplying the basis by them gives the two edge families of the Cayley
-graph.
+The canonical basis is still the greedy one: the first r^2/|J| pairs in
+position order that stay independent modulo the radical, i.e. whose rows
+of C are independent.  The normal forms solve nf . C[canonical] = C; they
+are found in floats, rounded and verified exactly in integers.
+
+Elements are written a(x)b for vertex pairs; each canonical element is
+named after its lexicographically smallest label pair among equivalent
+single-pair representatives; QuantumSymmetries.element(a, b) looks up the
+element a pair equals on its own, and per_element builds one matrix per
+element from those pairs.  Left and right chiral generators are the
+images of 1(x)0 and 0(x)1, and multiplying the basis by them gives the
+two edge families of the Cayley graph.
 """
 
 from __future__ import annotations
@@ -48,45 +50,9 @@ __all__ = [
 ]
 
 
-def _times(cons, vec, g):
-    """The fusion product vec . g of a sparse integer vector and a vertex."""
-    out = {}
-    for a, x in vec.items():
-        for c in np.nonzero(cons[a, g])[0]:
-            out[int(c)] = out.get(int(c), 0) + x * int(cons[a, g, c])
-    return out
-
-
-def _product_span(cons, gens):
-    """Row echelon span of every product of the vertices gens, the empty
-    product (the unit, vertex 0) included."""
-    span = SparseRREF(cons.shape[0])
-    todo = [{0: 1}]
-    while todo:
-        vec = todo.pop()
-        if span.insert(vec):
-            todo.extend(_times(cons, vec, g) for g in gens)
-    return span
-
-
-def _ambichiral_generators(cons, subset):
-    """Generators of the ambichiral subset as an algebra.
-
-    Greedy in position order: keep each vertex that is not yet in the span
-    of products of those kept.  The choice is then certified: every vertex
-    of subset must lie in the span of products of the generators alone.
-    """
-    gens = ()
-    span = _product_span(cons, gens)
-    for x in subset:
-        if not span.contains({x: 1}):
-            gens += (x,)
-            span = _product_span(cons, gens)
-    for x in subset:
-        if not span.contains({x: 1}):
-            raise StructuralError(
-                "ambichiral vertex %d is not generated by %s" % (x, gens))
-    return gens
+def _sparse(vec):
+    """An integer vector as a SparseRREF row."""
+    return {i: int(x) for i, x in enumerate(vec.tolist()) if x}
 
 
 class _ReadOnlyDict(dict):
@@ -110,53 +76,51 @@ class QuantumSymmetries:
         self.diagram = algebra.diagram
         self.ambichiral = ambichiral_subalgebra(algebra)
         r = algebra.rank
-        nj = len(self.ambichiral)
-        if (r * r) % nj:
+        size = len(self.ambichiral)
+        if (r * r) % size:
             raise StructuralError(
-                "tensor square size %d not divisible by |J|=%d" % (r * r, nj))
-        self.dim = (r * r) // nj
+                "tensor square size %d not divisible by |J|=%d"
+                % (r * r, size))
+        self.dim = (r * r) // size
 
-        cons = algebra.n
-        self.ambichiral_generators = _ambichiral_generators(
-            cons, self.ambichiral)
-        # pair p = a*r + b sits in column r*r - 1 - p, so each pivot (the
-        # smallest column of its row) is the latest pair of its relation
-        last = r * r - 1
-        rel = SparseRREF(r * r)
-        for x in self.ambichiral_generators:
-            for a in range(r):
-                for b in range(r):
-                    vec = np.zeros((r, r), dtype=np.int64)
-                    vec[:, b] += cons[a, x]
-                    vec[a, :] -= cons[x, b]
-                    vec = vec.ravel()[::-1]
-                    cols = np.flatnonzero(vec)
-                    rel.insert(dict(zip(cols.tolist(), vec[cols].tolist())))
-        if rel.rank != r * r - self.dim:
+        # Gram[(a,b),(c,d)] = sum_j N_j[a,c] N_j[b,d], as N_a[j,c] = N_j[a,c]
+        nj = algebra.n[list(self.ambichiral)]
+        norms = np.einsum("jaa,jbb->ab", nj, nj).ravel()
+        simples, cols = [], []
+        for p in np.flatnonzero(norms == 1).tolist():
+            c, d = divmod(p, r)
+            col = (nj[:, :, c].T @ nj[:, :, d]).ravel()
+            if not col[simples].any():
+                simples.append(p)
+                cols.append(col)
+        if len(simples) != self.dim:
             raise StructuralError(
-                "relation rank %d leaves dimension %d, expected %d"
-                % (rel.rank, r * r - rel.rank, self.dim))
-        self._relations = rel
+                "%d orthogonal pairs of norm 1, expected %d"
+                % (len(simples), self.dim))
+        gram_c = np.stack(cols, axis=1)
 
-        # A pair is independent of the earlier pairs modulo the relations
-        # exactly when its column is free, so the free columns are the
-        # greedy basis, dim of them by the rank check.  A pivot row reads
-        # e_p + sum c_f e_f = 0 in the quotient with every f canonical, so
-        # -c is the one coordinate vector of e_p over that basis.
-        canonical = [p for p in range(r * r) if last - p not in rel.rows]
+        # Gram = C.C^T, one row block a(x)- at a time in O(r^3) memory
+        flat = nj.reshape(len(nj), r * r)
+        for a in range(r):
+            block = (nj[:, a, :].T @ flat).reshape(r, r, r)
+            block = block.transpose(1, 0, 2).reshape(r, r * r)
+            if not np.array_equal(block, gram_c[a * r:(a + 1) * r] @ gram_c.T):
+                raise StructuralError(
+                    "inner products of %d(x)b are not sums of simple "
+                    "objects" % a)
+
+        # a pair is independent of the earlier pairs in the quotient exactly
+        # when its row of C is; C holds the identity at the simple objects,
+        # so the greedy basis has dim pairs and its block of C is invertible
+        ech = SparseRREF(self.dim)
+        canonical = [p for p in range(r * r) if ech.rank < self.dim
+                     and ech.insert(_sparse(gram_c[p]))]
         self.canonical = tuple(divmod(p, r) for p in canonical)
-        nf = np.zeros((r, r, self.dim), dtype=np.int64)
-        flat = nf.reshape(r * r, self.dim)
-        flat[canonical, range(self.dim)] = 1
-        index = {last - p: i for i, p in enumerate(canonical)}
-        for col, row in rel.rows.items():
-            for f, coef in row.items():
-                if coef.denominator != 1:
-                    raise StructuralError(
-                        "normal form of %d(x)%d is not integral"
-                        % divmod(last - col, r))
-                if f != col:
-                    flat[last - col, index[f]] = -int(coef)
+        base = gram_c[canonical]
+        nf = np.rint(np.linalg.solve(base.T, gram_c.T).T).astype(np.int64)
+        if not np.array_equal(nf @ base, gram_c):
+            raise StructuralError("normal forms do not verify exactly")
+        nf = nf.reshape(r, r, self.dim)
         nf.setflags(write=False)
         self.nf = nf
 
@@ -230,7 +194,7 @@ class QuantumSymmetries:
         def rank_of(vecs):
             ech = SparseRREF(self.dim)
             for v in vecs:
-                ech.insert({i: int(c) for i, c in enumerate(v) if c})
+                ech.insert(_sparse(v))
             return ech.rank
 
         left = [self.nf[a, 0] for a in range(r)]

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from adefusion.cli import PATHS_BUDGET, main
+from adefusion.cli import BLOCK_ROWS_BUDGET, PATHS_BUDGET, main
 from adefusion.diagram import parse_graph_name
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import algebra_for, fusion_json
@@ -106,6 +106,18 @@ def test_paths_over_budget(capsys):
     assert "2014924356 paths, over the budget of %d" % PATHS_BUDGET in err
 
 
+def test_paths_length_bound_holds_for_a1(capsys):
+    # A1 has no edge, but every count still takes one step per length
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["paths", "A1", "--length", "30000000"])
+    assert time.perf_counter() - start < 5
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "length over the bound of %d" % (BLOCK_ROWS_BUDGET + 1) in err
+
+
 def test_ocneanu_table(capsys):
     status, out, _ = _run(capsys, ["ocneanu", "E6"])
     assert status == 0
@@ -164,6 +176,19 @@ def test_modular_check_formats_agree_on_tol(capsys, tol, verdict):
     _, out, _ = _run(capsys, argv + ["--format", "json"])
     assert ("invariant: yes" in table) == verdict
     assert json.loads(out)["payload"]["invariance"]["invariant"] is verdict
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", [["paths", "E6", "--length", "4"],
+                                     ["modular-check", "E6"]],
+                         ids=["paths", "modular-check"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tol", tol])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--tol: must be a finite number above 0" in err
 
 
 def test_domain_error_exit_one(capsys):

@@ -4,14 +4,17 @@ import pytest
 from adefusion import (
     NoPositiveHypergroupError,
     NotDefinedError,
+    StructuralError,
     cayley_graph,
     multiply_qs,
     normal_form,
     quantum_symmetry_algebra,
     s_matrices,
 )
+from adefusion import ocneanu
 from adefusion._ratlin import SparseRREF, solve_many
-from adefusion.ocneanu import cayley_dot, element_dims
+from adefusion.fusion import fusion_matrices
+from adefusion.ocneanu import QuantumSymmetries, cayley_dot, element_dims
 from adefusion.golden import (
     A11_QS_DIM,
     E6_AMBI_POSITIONS,
@@ -174,43 +177,15 @@ def test_undefined_graphs():
         quantum_symmetry_algebra("E7")
 
 
-def _full_relations(qs):
-    """The relations for every x in J and every pair a, b: the r^3
-    construction the generator-only one must reproduce."""
+def _two_stage_basis(qs):
+    """The plain definition of A (x)_J A as a reference: the relations
+    (a.x)(x)b = a(x)(x.b) for every x in J, each pair's residue, a greedy
+    echelon of residues for the basis, then one exact solve of the
+    canonical-residue block for every normal form."""
     r = qs.algebra.rank
     cons = qs.algebra.n
     rel = SparseRREF(r * r)
     for x in qs.ambichiral:
-        for a in range(r):
-            for b in range(r):
-                vec = {}
-                for c in range(r):
-                    col = r * r - 1 - (c * r + b)
-                    if cons[a, x, c]:
-                        vec[col] = vec.get(col, 0) + int(cons[a, x, c])
-                    col = r * r - 1 - (a * r + c)
-                    if cons[x, b, c]:
-                        vec[col] = vec.get(col, 0) - int(cons[x, b, c])
-                rel.insert(vec)
-    return rel
-
-
-@pytest.mark.parametrize("graph", ["E6", "E8", "A11"])
-def test_generator_relations_match_full_ambichiral(graph):
-    qs = quantum_symmetry_algebra(graph)
-    assert len(qs.ambichiral_generators) < len(qs.ambichiral)
-    assert set(qs.ambichiral_generators) <= set(qs.ambichiral)
-    assert qs._relations.rows == _full_relations(qs).rows
-
-
-def _two_stage_basis(qs):
-    """Reference for the read-off: relations in pair order, each pair's
-    residue, a greedy echelon of residues for the basis, then one exact
-    solve of the canonical-residue block for every normal form."""
-    r = qs.algebra.rank
-    cons = qs.algebra.n
-    rel = SparseRREF(r * r)
-    for x in qs.ambichiral_generators:
         for a in range(r):
             for b in range(r):
                 vec = {}
@@ -231,7 +206,7 @@ def _two_stage_basis(qs):
     return tuple(divmod(p, r) for p in canonical), nf.reshape(r, r, -1)
 
 
-@pytest.mark.parametrize("graph", ["E6", "E8", "A11", "A16"])
+@pytest.mark.parametrize("graph", ["E6", "E8", "A1", "A2", "A11", "A16"])
 def test_basis_and_normal_forms_match_two_stage_construction(graph):
     qs = quantum_symmetry_algebra(graph)
     canonical, nf = _two_stage_basis(qs)
@@ -239,11 +214,26 @@ def test_basis_and_normal_forms_match_two_stage_construction(graph):
     assert np.array_equal(qs.nf, nf)
 
 
-def test_ambichiral_generators():
-    for n in (2, 3, 7, 11, 16):
-        assert quantum_symmetry_algebra("A%d" % n).ambichiral_generators == (1,)
-    assert len(quantum_symmetry_algebra("E6").ambichiral_generators) == 2
-    assert quantum_symmetry_algebra("E8").ambichiral_generators == (6,)
+@pytest.mark.parametrize("subset, message", [
+    ((0, 1), "inner products of 1\\(x\\)b are not sums of simple objects"),
+    ((0, 4), "16 orthogonal pairs of norm 1, expected 18"),
+], ids=["gram", "count"])
+def test_refuses_a_subset_that_is_not_ambichiral(monkeypatch, subset,
+                                                 message):
+    # (0, 1) gives 18 orthogonal simple objects that do not factor the
+    # Gram matrix; (0, 4) gives too few of them
+    monkeypatch.setattr(ocneanu, "ambichiral_subalgebra",
+                        lambda algebra: subset)
+    with pytest.raises(StructuralError, match=message):
+        QuantumSymmetries(fusion_matrices("E6"))
+
+
+def test_refuses_normal_forms_that_do_not_verify(monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 0.75)
+    with pytest.raises(StructuralError,
+                       match="normal forms do not verify exactly"):
+        QuantumSymmetries(fusion_matrices("E6"))
 
 
 def test_element_lookup():
