@@ -10,11 +10,12 @@ two fork vertices of a D diagram are not polynomials in G; their split is
 one exact solve of y.G = N_f[f1] with two coordinates pinned.
 
 Everything is verified eagerly: entries nonnegative integers, unit and
-generator recovered, row 0 of N_a equal to e_a, symmetry and pairwise
-commutativity.  Closure of the structure constants follows from symmetry
-plus commutation (see _verify_ring).  Diagrams admitting no such
-structure (E7, D_odd) raise NoPositiveHypergroupError from the failed
-construction itself.
+generator recovered, row 0 of N_a equal to e_a, symmetry, and commutation
+with the few N_s for which e_0 is a cyclic vector, found by an exact
+rank over Q.  Pairwise commutativity follows from that certificate, and
+closure of the structure constants from symmetry plus commutation (see
+_verify_ring).  Diagrams admitting no such structure (E7, D_odd) raise
+NoPositiveHypergroupError from the failed construction itself.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._ratlin import solve_exact, solve_many
+from ._ratlin import SparseRREF, solve_exact, solve_many
 from .diagram import Family, cache_per_diagram
 from .errors import NoPositiveHypergroupError, NotDefinedError, StructuralError
 
@@ -176,10 +177,54 @@ def _construct_d(d):
     return found[0]
 
 
+def _cyclic_generators(n):
+    """The greedy S of _verify_ring: vertices s such that e_0 is cyclic
+    for the matrices N_s, starting from the generator 1.
+
+    Closes span{e_0.w}, w a word in S, under right multiplication by every
+    N_s, exactly over Q; while the span falls short of Q^r, adds the first
+    vertex a with e_a outside it (e_0.N_a = e_a, so this ends).
+    """
+    r = len(n)
+    gens = [1] if r > 1 else []
+    span = SparseRREF(r)
+
+    def times(v, s):
+        out = {}
+        for j, x in v.items():
+            for c in np.flatnonzero(n[s, j]).tolist():
+                out[c] = out.get(c, 0) + x * int(n[s, j, c])
+        return out
+
+    todo = [{0: 1}]
+    while True:
+        while todo:
+            v = span.residue(todo.pop())
+            if v:
+                span.insert(v)
+                todo += [times(v, s) for s in gens]
+        if span.rank == r:
+            return tuple(gens)
+        a = next(a for a in range(r) if span.residue({a: 1}))
+        gens.append(a)
+        todo += [times(v, a) for v in span.rows.values()]
+
+
 def _verify_ring(d, mats):
     """Refuse mats unless they are the fusion matrices of a commutative
     ring with nonnegative integer structure constants, unit 0 and
     generator 1.
+
+    Commutation is checked only against the N_s, s in S =
+    _cyclic_generators(n), which is |S|.r products instead of r^2.  Let
+    A be the algebra the N_s generate.  It is commutative, since the pairs
+    inside S are among those checked, and e_0 is cyclic for it: S was
+    grown until the vectors e_0.w span Q^r, by an exact rank.  Every X
+    commuting with A lies in A: take a in A with e_0.X = e_0.a; then for
+    every b in A, (e_0.b).X = e_0.X.b = e_0.a.b = (e_0.b).a, and the e_0.b
+    span Q^r, so X = a.  Each N_a commutes with A, so it lies in A, and the
+    N_a commute pairwise.  Conversely a table whose matrices commute
+    pairwise passes, as S is only a subset of the vertices.
 
     Closure N_a N_b = sum_c N_a[b,c] N_c is not checked, because it
     follows from the checks made.  Let M = N_a N_b - sum_c N_a[b,c] N_c.
@@ -187,7 +232,8 @@ def _verify_ring(d, mats):
     is e_c, so e_0.M = N_b[a,:] - N_a[b,:] = 0 by symmetry.  Hence
     e_d.M = e_0.N_d.M = e_0.M.N_d = 0 for every d, and M = 0.  (Symmetry
     itself follows from commutation and row 0, as e_b.N_a = e_0.N_b.N_a;
-    its one array comparison refuses early what the pairwise loop would.)
+    its one array comparison refuses early what the commutation check
+    would.)
     """
     g = d.adjacency
     r = d.rank
@@ -204,10 +250,10 @@ def _verify_ring(d, mats):
         raise _Fail("row 0 of matrix %d is not a unit vector" % bad[0])
     if not np.array_equal(n, n.transpose(1, 0, 2)):
         raise _Fail("structure constants are not symmetric")
-    for a in range(r):
-        for b in range(a + 1, r):
-            if not np.array_equal(n[a] @ n[b], n[b] @ n[a]):
-                raise _Fail("matrices %d and %d do not commute" % (a, b))
+    for s in _cyclic_generators(n):
+        bad = np.flatnonzero(np.any(n @ n[s] != n[s] @ n, axis=(1, 2)))
+        if bad.size:
+            raise _Fail("matrices %d and %d do not commute" % (bad[0], s))
 
 
 # positive structures exist exactly here; a failure elsewhere is a bug

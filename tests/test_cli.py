@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adefusion.cli import BLOCK_ROWS_BUDGET, PATHS_BUDGET, main
-from adefusion.diagram import parse_graph_name
+from adefusion.diagram import parse_graph_name, perron_frobenius
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import algebra_for, fusion_json
 from adefusion.modular import modular_json, toric_matrices
@@ -196,6 +196,15 @@ def test_domain_error_exit_one(capsys):
     assert status == 1
     assert out == ""
     assert "error: no positive hypergroup for E7" in err
+
+
+def test_unconverged_power_iteration_exit_one(capsys, monkeypatch):
+    # at the default max_iter this is `paths D200 --length 2` (about 2.5 s)
+    monkeypatch.setattr(perron_frobenius, "__defaults__", (1e-12, 3))
+    status, out, err = _run(capsys, ["paths", "A11", "--length", "2"])
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: power iteration residual")
 
 
 def test_bad_graph_exit_two(capsys):

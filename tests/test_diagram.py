@@ -6,6 +6,7 @@ import pytest
 
 from adefusion import (
     Family,
+    StructuralError,
     UnsupportedDiagramError,
     ascii_diagram,
     build_diagram,
@@ -80,6 +81,11 @@ def test_perron_frobenius_e6_q_numbers():
     q = [q_number(n, 12) for n in range(4)]
     want = [q[1], q[2], q[3], q[2], q[1], q[3] / q[2]]
     assert np.allclose(v, want, atol=1e-9)
+
+
+def test_perron_frobenius_refuses_when_unconverged():
+    with pytest.raises(StructuralError, match="power iteration residual"):
+        perron_frobenius(build_diagram("A", 11), max_iter=3)
 
 
 def test_characteristic_polynomial_e6():

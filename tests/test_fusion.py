@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adefusion import (
     NoPositiveHypergroupError,
@@ -15,7 +17,12 @@ from adefusion import (
     fusion_table_ascii,
     multiply,
 )
-from adefusion.fusion import _Fail, _verify_ring, algebra_for
+from adefusion.fusion import (
+    _cyclic_generators,
+    _Fail,
+    _verify_ring,
+    algebra_for,
+)
 from adefusion.golden import (
     E6_AMBI_LABELS,
     E6_AMBI_POSITIONS,
@@ -169,6 +176,35 @@ def test_corrupted_table_is_refused(graph, corrupt, reason):
     with pytest.raises(_Fail, match=reason):
         _verify_ring(alg.diagram, list(n))
     assert not _ring_by_closure_loop(n)
+
+
+def test_cyclic_generators():
+    # G alone makes e_0 cyclic where its spectrum is simple (A, E); the
+    # repeated eigenvalue of D_even needs one fork matrix besides
+    assert _cyclic_generators(fusion_matrices(build_diagram("A", 1)).n) == ()
+    for family, rank in ACCEPTED[1:] + [("A", r) for r in range(31, 61)]:
+        want = (1, rank - 2) if family == "D" else (1,)
+        alg = fusion_matrices(build_diagram(family, rank))
+        assert _cyclic_generators(alg.n) == want, alg.diagram.name
+
+
+PERTURBED = [("A", 7), ("A", 12), ("D", 6), ("D", 8), ("D", 10), ("E", 6),
+             ("E", 8)]
+
+
+@given(st.sampled_from(PERTURBED), st.data())
+def test_perturbed_table_refused_as_by_the_old_loop(graph, data):
+    alg = fusion_matrices(build_diagram(*graph))
+    a, b, c = (data.draw(st.integers(0, alg.rank - 1)) for _ in range(3))
+    n = alg.n.copy()
+    n[a, b, c] += 1
+    n[b, a, c] = n[a, b, c]
+    try:
+        _verify_ring(alg.diagram, list(n))
+        accepted = True
+    except _Fail:
+        accepted = False
+    assert accepted == _ring_by_closure_loop(n)
 
 
 def _fork_splits_by_search(alg):
