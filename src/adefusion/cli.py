@@ -22,6 +22,7 @@ data), 2 on a usage error.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -49,7 +50,7 @@ from .path_model import spanning_json
 # N_{p-2}(a, b) rows for each of C_1 .. C_{p-1}; `--format json` takes the
 # SVD of that matrix, while the table needs only one small SVD per length.
 # For scale, one thread: E6 --length 11 (7,382 paths, 2,090 rows) takes
-# about 0.1 s as a table and 4 s as JSON.
+# about 0.03 s as a table and 3.5-4.5 s as JSON, after startup.
 PATHS_BUDGET = 10_000
 BLOCK_ROWS_BUDGET = 4_000
 
@@ -644,7 +645,14 @@ def main(argv=None):
             parser.error("cannot write --out %s: %s"
                          % (args.out, exc.strerror))
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout early (`| head`): point stdout at
+            # devnull so the exit flush cannot fail, and exit quietly with
+            # 141 = 128 + SIGPIPE, what a shell reports for such a writer
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     return status
 
 

@@ -49,8 +49,12 @@ class DynkinDiagram:
     def name(self):
         return "%s%d" % (self.family.value, self.rank)
 
+    @functools.cached_property
+    def _neighbors(self):
+        return tuple(tuple(np.flatnonzero(r).tolist()) for r in self.adjacency)
+
     def neighbors(self, v):
-        return tuple(int(w) for w in np.flatnonzero(self.adjacency[v]))
+        return self._neighbors[v]
 
     def label_to_position(self, label):
         return self.vertex_labels.index(str(label))

@@ -23,14 +23,15 @@ of K.
 
 This module is the numeric cross-check for the integer essential-path
 counts: it never looks at the recurrence, only at explicit path vectors,
-so agreement between the two is a real test.
+so agreement between the two is a real test.  Paths are enumerated anew
+on each call, from the diagram's neighbour table; nothing is cached.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagram import cache_per_diagram, graph_norm, perron_frobenius
+from .diagram import graph_norm, perron_frobenius
 from .errors import LengthCapError
 
 __all__ = [
@@ -49,28 +50,21 @@ __all__ = [
 DEFAULT_CAP = 8
 
 
-@cache_per_diagram
-def _paths(diagram, length, origin):
-    starts = range(diagram.rank) if origin is None else (origin,)
-    out = []
-    for v0 in starts:
-        frontier = [(v0,)]
-        for _ in range(length):
-            frontier = [p + (w,) for p in frontier for w in diagram.neighbors(p[-1])]
-        out.extend(frontier)
-    return tuple(sorted(out))
-
-
 def enumerate_paths(diagram, length, origin=None, cap=DEFAULT_CAP):
     """All edge paths of the given length in lexicographic order, as
-    tuples of vertex positions."""
+    tuples of vertex positions (ascending neighbours keep that order)."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length > cap:
         raise LengthCapError(
             "length %d exceeds the cap %d (pass cap= to raise it)"
             % (length, cap))
-    return list(_paths(diagram, length, origin))
+    nbrs = [diagram.neighbors(v) for v in range(diagram.rank)]
+    paths = [(v,) for v in (range(diagram.rank) if origin is None
+                            else (origin,))]
+    for _ in range(length):
+        paths = [p + (w,) for p in paths for w in nbrs[p[-1]]]
+    return paths
 
 
 class PathSpace:
@@ -209,20 +203,22 @@ def _kernel_step(prev2, prev, nbrs, weight, tol):
     origin.  prev[c] has one row per length-(q-1) path to c and one
     orthonormal column per kernel vector; the rows of block c are the
     rows of prev2[e] for each e ~ c in turn, each path extended by c."""
+    shapes = [m.shape for m in prev]
+    rows2 = [m.shape[0] for m in prev2]
     out = []
     for b, cs in enumerate(nbrs):
         # B: the bases at q-1 for c ~ b side by side, each path extended
-        # by c -> b.  C_{q-1} contracts (.., b, c, b) to (.., b), so C B is
-        # a weighted sum of the row slices of B whose paths end that way
-        basis = np.zeros((sum(prev[c].shape[0] for c in cs),
-                          sum(prev[c].shape[1] for c in cs)))
-        cb = np.zeros((prev2[b].shape[0], basis.shape[1]))
+        # by c -> b.  C_{q-1} contracts (.., b, c, b) to (.., b), so column
+        # block c of C B is a weighted row slice of prev[c]
+        basis = np.zeros((sum(shapes[c][0] for c in cs),
+                          sum(shapes[c][1] for c in cs)))
+        cb = np.zeros((rows2[b], basis.shape[1]))
         i = j = 0
         for c in cs:
-            n, w = prev[c].shape
+            n, w = shapes[c]
             basis[i:i + n, j:j + w] = prev[c]
-            off = i + sum(prev2[e].shape[0] for e in nbrs[c] if e < b)
-            cb += weight[b][c] * basis[off:off + len(cb)]
+            off = sum(rows2[e] for e in nbrs[c] if e < b)
+            cb[:, j:j + w] += weight[b][c] * prev[c][off:off + rows2[b]]
             i, j = i + n, j + w
         if cb.size:
             _, sing, vh = np.linalg.svd(cb, full_matrices=len(cb) < j)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import adefusion
 from adefusion.cli import BLOCK_ROWS_BUDGET, PATHS_BUDGET, main
 from adefusion.diagram import parse_graph_name, perron_frobenius
 from adefusion.essential import essential_json, essential_matrices
@@ -255,3 +259,21 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text(encoding="utf-8"))
     assert data["graph"] == "E6"
+
+
+def test_closed_stdout_exits_quietly():
+    # `fusion A40 --format json` is about 0.8 MB, far past a pipe buffer,
+    # so closing the reader after a few bytes breaks the child's write
+    src = os.path.dirname(os.path.dirname(adefusion.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adefusion.cli", "fusion", "A40",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "Error" not in err, err

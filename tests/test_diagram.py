@@ -134,3 +134,15 @@ def test_diagram_json_roundtrip():
     assert data["labels"] == ["0", "1", "2", "3"]
     assert np.array_equal(np.array(data["adjacency"]), d.adjacency)
     assert data["coxeter_number"] == 5
+
+
+def test_neighbors_match_adjacency_rows():
+    # reference rule: the nonzero positions of the adjacency row, ascending
+    graphs = ([("A", n) for n in range(1, 13)]
+              + [("D", n) for n in range(4, 13)]
+              + [("E", n) for n in (6, 7, 8)])
+    for fam, rank in graphs:
+        d = build_diagram(fam, rank)
+        for v in range(rank):
+            want = tuple(int(w) for w in np.flatnonzero(d.adjacency[v]))
+            assert d.neighbors(v) == want, (d.name, v)

@@ -14,6 +14,7 @@ from adefusion import (
     jones_projector,
     q_number,
 )
+from adefusion import path_model
 from adefusion.path_model import (
     _blocks,
     _constraint_blocks,
@@ -41,6 +42,30 @@ def test_enumerate_counts_length7():
         assert len(p) == 8 and p[0] == 0
         ends[p[-1]] += 1
     assert tuple(ends) == E6_PATHS7_BY_END
+
+
+def _sorted_paths(d, length, origin):
+    # reference rule: grow each origin's paths by the nonzero positions of
+    # the adjacency row, then sort
+    out = []
+    for v0 in range(d.rank) if origin is None else (origin,):
+        frontier = [(v0,)]
+        for _ in range(length):
+            frontier = [p + (int(w),) for p in frontier
+                        for w in np.flatnonzero(d.adjacency[p[-1]])]
+        out.extend(frontier)
+    return sorted(out)
+
+
+def test_enumerate_matches_sorted_rule():
+    graphs = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+              + [("E", n) for n in (6, 7, 8)])
+    for fam, rank in graphs:
+        d = build_diagram(fam, rank)
+        for p in range(9):
+            for origin in [None, *range(rank)]:
+                assert enumerate_paths(d, p, origin) == \
+                    _sorted_paths(d, p, origin), (d.name, p, origin)
 
 
 def test_length_cap():
@@ -291,3 +316,41 @@ def test_prefix_kernels_span_the_stacked_kernels():
                 mine[order] = prefix[ab]
                 assert np.allclose(mine @ mine.T, basis.T @ basis,
                                    atol=1e-9), (fam, p, ab)
+
+
+def _row_slice_kernel_step(prev2, prev, nbrs, weight, tol):
+    # reference rule: C B as a weighted sum of full-width row slices of B
+    out = []
+    for b, cs in enumerate(nbrs):
+        basis = np.zeros((sum(prev[c].shape[0] for c in cs),
+                          sum(prev[c].shape[1] for c in cs)))
+        cb = np.zeros((prev2[b].shape[0], basis.shape[1]))
+        i = j = 0
+        for c in cs:
+            n, w = prev[c].shape
+            basis[i:i + n, j:j + w] = prev[c]
+            off = i + sum(prev2[e].shape[0] for e in nbrs[c] if e < b)
+            cb += weight[b][c] * basis[off:off + len(cb)]
+            i, j = i + n, j + w
+        if cb.size:
+            _, sing, vh = np.linalg.svd(cb, full_matrices=len(cb) < j)
+            basis = basis @ vh[int(np.sum(sing > tol)):].T
+        out.append(basis)
+    return out
+
+
+def test_prefix_kernels_match_row_slice_rule(monkeypatch):
+    # column slices of C B hold the same products as the row-slice sum,
+    # so every basis is equal bit for bit, zero signs included
+    windows = (("E", 6, 11), ("D", 6, 9), ("E", 8, 10))
+    spaces = [PathSpace(build_diagram(fam, rank), p, cap=max(p, 8))
+              for fam, rank, last in windows for p in range(last + 1)]
+    got = [_prefix_kernels(space, 1e-9) for space in spaces]
+    monkeypatch.setattr(path_model, "_kernel_step", _row_slice_kernel_step)
+    for space, mine in zip(spaces, got):
+        want = _prefix_kernels(space, 1e-9)
+        assert mine.keys() == want.keys(), space
+        for ab, basis in want.items():
+            assert np.array_equal(mine[ab], basis), (space, ab)
+            assert mine[ab].shape == basis.shape, (space, ab)
+            assert mine[ab].tobytes() == basis.tobytes(), (space, ab)
