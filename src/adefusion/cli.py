@@ -12,7 +12,9 @@ Commands
     verify-paper   re-check every frozen reference table; PASS/FAIL per item
 
 --format json prints one envelope {tool_version, command, graph, payload},
-encoded here once; the library's *_json helpers return payload dicts.
+encoded here once; the library's *_json helpers return payload dicts.  The
+envelope's bytes are exactly those of json.dumps(indent=2, sort_keys=True);
+runs of numbers and matrices of them come from the C encoder, re-indented.
 
 Exit status: 0 on success, 1 on a domain error (for instance a diagram
 with no positive fusion structure, or a graph with no frozen reference
@@ -20,6 +22,7 @@ data), 2 on a usage error.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -101,23 +104,65 @@ def _parse_element(parser, diagram, text):
 
 
 def _matrix_lines(m):
+    """Rows of an int matrix, right-aligned to its widest entry, zeros as
+    dots."""
     m = np.atleast_2d(np.asarray(m))
-    cells = [["." if v == 0 else "%d" % v for v in row] for row in m]
-    width = max(len(c) for row in cells for c in row)
-    return [" ".join(c.rjust(width) for c in row) for row in cells]
+    width = max(len("%d" % m.max()), len("%d" % m.min()))
+    dot = "%*s" % (width, ".")
+    return [" ".join(["%*d" % (width, v) if v else dot for v in row])
+            for row in m.tolist()]
 
 
 def _titled_matrix(title, m):
     return "\n".join([title] + _matrix_lines(m))
 
 
+_SCALARS = {int, float, bool, type(None)}
+_ROWS = {list, tuple}
+
+
+def _encode(value, newline="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, where
+    every dict key is a str (any other key is a TypeError).  A list of
+    scalars, or of nonempty scalar rows, is one call of the C encoder, which
+    json.dumps reaches only without indent, split at its separators: no
+    number, NaN, Infinity, true or null contains ", " or "], [".
+    """
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s"
+                                % type(key).__name__)
+            parts.append(json.dumps(key) + ": " + _encode(value[key], inner))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if kinds <= _SCALARS:
+        parts = json.dumps(value)[1:-1].split(", ")
+    elif kinds <= _ROWS and all(value) and set(
+            map(type, itertools.chain.from_iterable(value))) <= _SCALARS:
+        deeper = inner + "  "
+        parts = ["[" + deeper + row.replace(", ", "," + deeper) + inner + "]"
+                 for row in json.dumps(value)[2:-2].split("], [")]
+    else:
+        parts = [_encode(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(parts) + newline + "]"
+
+
 def _wrap_json(args, graph_name, payload):
-    return json.dumps({
+    return _encode({
         "tool_version": __version__,
         "command": args.command,
         "graph": graph_name,
         "payload": payload,
-    }, indent=2, sort_keys=True)
+    })
 
 
 # -- command bodies ------------------------------------------------------
@@ -617,19 +662,21 @@ COMMANDS = {
     "verify-paper": _cmd_verify,
 }
 
+# parse_args keeps nothing between calls, so one parser serves every main
+PARSER = _build_parser()
+
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         diagram = parse_graph_name(args.graph)
     except UnsupportedDiagramError as exc:
-        parser.error(str(exc))
+        PARSER.error(str(exc))
     if args.format == "dot" and args.command != "ocneanu":
-        parser.error("dot output only applies to the ocneanu command")
+        PARSER.error("dot output only applies to the ocneanu command")
 
     try:
-        out = COMMANDS[args.command](args, parser, diagram)
+        out = COMMANDS[args.command](args, PARSER, diagram)
     except AdeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -642,7 +689,7 @@ def main(argv=None):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            parser.error("cannot write --out %s: %s"
+            PARSER.error("cannot write --out %s: %s"
                          % (args.out, exc.strerror))
     else:
         try:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import adefusion
-from adefusion.cli import BLOCK_ROWS_BUDGET, PATHS_BUDGET, main
+from adefusion.cli import (BLOCK_ROWS_BUDGET, PATHS_BUDGET, _encode,
+                           _matrix_lines, main)
 from adefusion.diagram import parse_graph_name, perron_frobenius
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import algebra_for, fusion_json
@@ -53,19 +57,95 @@ LIBRARY_PAYLOADS = {
 }
 
 
-@pytest.mark.parametrize("graph", ["E6", "A11"])
-@pytest.mark.parametrize("command", list(LIBRARY_PAYLOADS))
+def _assert_same_text(got, want):
+    # compared as a plain bool: pytest's diff of two long texts that part
+    # early can run for minutes
+    same = got == want
+    at = len(os.path.commonprefix([got, want]))
+    assert same, "texts part at character %d: %r against %r" % (
+        at, got[max(at - 30, 0):at + 30], want[max(at - 30, 0):at + 30])
+
+
+@pytest.mark.parametrize(
+    "command, graph",
+    [(command, graph) for graph in ("E6", "A11", "E8")
+     for command in LIBRARY_PAYLOADS]
+    + [("ocneanu", "A20"), ("fusion", "D20")])
 def test_json_payload_is_library_document(capsys, command, graph):
+    # the stdlib's indent=2 encoder is the oracle for every byte
     argv = [command, graph, "--format", "json"]
     if command == "paths":
         argv += ["--length", "4"]
     status, out, _ = _run(capsys, argv)
     assert status == 0
-    data = json.loads(out)
-    assert set(data) == {"tool_version", "command", "graph", "payload"}
-    assert (data["command"], data["graph"]) == (command, graph)
-    want = json.loads(json.dumps(LIBRARY_PAYLOADS[command](graph)))
-    assert data["payload"] == want
+    envelope = {"tool_version": adefusion.__version__, "command": command,
+                "graph": graph, "payload": LIBRARY_PAYLOADS[command](graph)}
+    _assert_same_text(out, json.dumps(envelope, indent=2, sort_keys=True)
+                      + "\n")
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+ROWS = st.one_of(st.lists(SCALARS, max_size=5),
+                 st.lists(SCALARS, max_size=5).map(tuple))
+JSON_TREES = st.recursive(
+    st.one_of(SCALARS, st.text(), st.lists(SCALARS), st.lists(ROWS)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=40)
+
+
+@given(JSON_TREES)
+def test_encode_matches_stdlib(value):
+    assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    [[1, 2], [], [3]],                    # an empty row among scalar rows
+    [(1, -0.0), [math.nan, None, True]],  # ragged, tuples, specials
+    [1, "a, b", 2.5],                     # a string holding the separator
+    [["x", 1], [2]],                      # a string inside a row
+    {"é\n\"\\": [{}, [], ()]},
+])
+def test_encode_edge_cases(value):
+    assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{True: 0}]])
+def test_encode_refuses_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _encode(value)
+
+
+def _cell_rule_lines(m):
+    # the rule _matrix_lines had before it formatted from tolist()
+    m = np.atleast_2d(np.asarray(m))
+    cells = [["." if v == 0 else "%d" % v for v in row] for row in m]
+    width = max(len(c) for row in cells for c in row)
+    return [" ".join(c.rjust(width) for c in row) for row in cells]
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_matrix_lines_match_cell_rule(rows, cols, data):
+    entries = data.draw(st.sampled_from([st.integers(-10**6, 10**6),
+                                         st.integers(-3, 3), st.just(0)]))
+    m = np.array(data.draw(st.lists(st.lists(entries, min_size=cols,
+                                             max_size=cols),
+                                    min_size=rows, max_size=rows)),
+                 dtype=np.int64)
+    for shaped in (m, m[:1], m[:, :1], m[0]):
+        assert _matrix_lines(shaped) == _cell_rule_lines(shaped)
+
+
+def test_matrix_lines_match_cell_rule_on_e8_toric():
+    mats = toric_matrices("E8")
+    assert len(mats) == 32
+    for m in mats:
+        assert _matrix_lines(m) == _cell_rule_lines(m)
 
 
 def test_essential_table(capsys):
@@ -148,6 +228,42 @@ def test_toric_single_element(capsys):
     assert status == 0
     assert out.startswith("W(0⊗0)")
     assert len(out.strip().splitlines()) == 12
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(adefusion.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_stdout(argv):
+    proc = subprocess.run([sys.executable, "-m", "adefusion.cli"] + argv,
+                          capture_output=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.decode("utf-8")
+
+
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    # one parser serves every main call in a process
+    with pytest.raises(SystemExit) as exc:
+        main(["toric", "E6", "--element", "9x9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for argv in (["toric", "E6", "--element", "0x0"], ["toric", "E6"]):
+        status, out, _ = _run(capsys, argv)
+        assert status == 0
+        _assert_same_text(out, _fresh_stdout(argv))
+    target = tmp_path / "fusion.txt"
+    status, out, _ = _run(capsys, ["fusion", "E6", "--out", str(target)])
+    assert (status, out) == (0, "")
+    status, out, _ = _run(capsys, ["fusion", "E6"])
+    assert status == 0
+    assert out == target.read_text(encoding="utf-8")
+    assert _run(capsys, ["paths", "E6", "--length", "4"])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["paths", "E6"])
+    assert exc.value.code == 2
+    assert "paths requires --length" in capsys.readouterr().err
 
 
 def test_toric_bad_elements(capsys):
@@ -264,13 +380,10 @@ def test_out_writes_file(tmp_path, capsys):
 def test_closed_stdout_exits_quietly():
     # `fusion A40 --format json` is about 0.8 MB, far past a pipe buffer,
     # so closing the reader after a few bytes breaks the child's write
-    src = os.path.dirname(os.path.dirname(adefusion.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "adefusion.cli", "fusion", "A40",
          "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     assert proc.stdout.read(10) == b'{\n  "comma'
     proc.stdout.close()
     err = proc.stderr.read().decode()
