@@ -44,7 +44,8 @@ from .modular import (ModularRep, modular_invariance_check, modular_json,
                       partition_function, toric_matrices)
 from .ocneanu import (cayley_dot, decompose_right, element_dims, multiply_qs,
                       ocneanu_json, quantum_symmetry_algebra, s_matrices)
-from .path_model import PathSpace, annihilation_operator, enumerate_paths
+from .path_model import (PathSpace, _check_tol, annihilation_operator,
+                         enumerate_paths)
 from .path_model import essential_dims as path_essential_dims
 from .path_model import spanning_json
 
@@ -82,13 +83,10 @@ def _build_parser():
 def _tolerance(text):
     """--tol as a float, refused unless finite and above 0."""
     try:
-        value = float(text)
+        return _check_tol(float(text))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
             "must be a finite number above 0, got %r" % text)
-    return value
 
 
 def _parse_element(parser, diagram, text):

@@ -150,6 +150,7 @@ def cache_per_diagram(fn):
     fixed by its family and rank, so that pair is the key and fn receives
     the diagram rebuilt from it.  graph may be a diagram, a graph name, or
     anything with a ``diagram`` attribute (an algebra, for instance).
+    The wrapper carries the lru_cache's cache_clear and cache_info.
     """
     @functools.lru_cache(maxsize=None)
     def cached(family, rank, *args):
@@ -161,6 +162,8 @@ def cache_per_diagram(fn):
             graph = parse_graph_name(graph)
         d = getattr(graph, "diagram", graph)
         return cached(d.family, d.rank, *args)
+    wrapper.cache_clear = cached.cache_clear
+    wrapper.cache_info = cached.cache_info
     return wrapper
 
 

@@ -24,14 +24,23 @@ of K.
 This module is the numeric cross-check for the integer essential-path
 counts: it never looks at the recurrence, only at explicit path vectors,
 so agreement between the two is a real test.  Paths are enumerated anew
-on each call, from the diagram's neighbour table; nothing is cached.
+on each call, from the diagram's neighbour table.  The prefix kernels are
+kept, one chain per (diagram, tol) under diagram.cache_per_diagram: for
+each origin asked, the read-only kernel bases at every length up to the
+longest one asked.  A longer request grows the chain by the missing steps
+only.  The level at length q holds, for each end b, an N_q(a, b) x
+dim ker_q(a, b) array of floats, N_q(a, b) the number of paths from a to
+b.  essential_subspace keeps nothing.  tol must be finite and above 0.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
-from .diagram import graph_norm, perron_frobenius
+from .diagram import cache_per_diagram, graph_norm, perron_frobenius
 from .errors import LengthCapError
 
 __all__ = [
@@ -144,6 +153,14 @@ def jones_projector(space, k):
     return PathOperator("jones", k, space, space, m)
 
 
+def _check_tol(tol):
+    """tol itself; ValueError unless it is a finite number above 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite number above 0, got %r"
+                         % (tol,))
+    return tol
+
+
 def _blocks(space):
     """The paths of each nonempty (origin, endpoint) block, keyed by
     (a, b) in position order, each block in lexicographic order."""
@@ -187,6 +204,7 @@ def essential_subspace(space, tol=1e-9):
     """Orthonormal bases of the joint kernel of all C_k, one per
     (origin, endpoint) pair: {(a, b): rows-are-basis-vectors array}.
     Coordinates follow the lexicographic order of the block's paths."""
+    _check_tol(tol)
     out = {}
     for ab, block, kmat in _constraint_blocks(space):
         if kmat is None:
@@ -227,25 +245,52 @@ def _kernel_step(prev2, prev, nbrs, weight, tol):
     return out
 
 
-def _prefix_kernels(space, tol):
-    """Orthonormal kernel bases {(a, b): paths x kernel array} for each
-    nonempty block, built one length at a time.  The rows follow the
-    block's paths in lexicographic order of the reversed path."""
-    d = space.diagram
-    r = d.rank
+@cache_per_diagram
+def _kernel_chain(d, tol):
+    """The neighbour table, the weight table and {origin: levels} for one
+    (diagram, tol).  levels[q][b] is the read-only kernel basis at length q
+    of the paths from the origin to b; _prefix_kernels appends levels."""
     pf = perron_frobenius(d)
     # weight[b][c] = sqrt(D[c] / D[b]), the factor of contracting b, c, b
     weight = np.sqrt(pf[None, :] / pf[:, None]).tolist()
-    nbrs = [d.neighbors(b) for b in range(r)]
+    return [d.neighbors(b) for b in range(d.rank)], weight, {}
+
+
+# held while a chain grows: two threads appending to one chain would
+# each add the same level, and every later level would be built wrong
+_GROWING = threading.Lock()
+
+
+def _read_only(bases):
+    for basis in bases:
+        basis.setflags(write=False)
+    return bases
+
+
+def _prefix_kernels(space, tol):
+    """Orthonormal kernel bases {(a, b): paths x kernel array} for each
+    nonempty block, read-only.  The rows follow the block's paths in
+    lexicographic order of the reversed path.  Each origin's levels are
+    kept in _kernel_chain and grown only up to space.length, so no step
+    runs twice for one (diagram, tol)."""
+    d = space.diagram
+    r = d.rank
+    nbrs, weight, levels = _kernel_chain(d, tol)
     out = {}
     for a in range(r) if space.origin is None else (space.origin,):
-        prev2 = [np.zeros((0, 0))] * r
-        prev = [np.ones((1, 1)) if b == a else np.zeros((0, 0))
-                for b in range(r)]
-        for _ in range(space.length):
-            prev2, prev = prev, _kernel_step(prev2, prev, nbrs, weight, tol)
-        out.update(((a, b), basis) for b, basis in enumerate(prev)
-                   if basis.shape[0])
+        with _GROWING:
+            chain = levels.get(a)
+            if chain is None:
+                chain = levels[a] = [_read_only(
+                    [np.ones((1, 1)) if b == a else np.zeros((0, 0))
+                     for b in range(r)])]
+            while len(chain) <= space.length:
+                prev2 = chain[-2] if len(chain) > 1 else [
+                    np.zeros((0, 0))] * r
+                chain.append(_read_only(
+                    _kernel_step(prev2, chain[-1], nbrs, weight, tol)))
+        out.update(((a, b), basis) for b, basis
+                   in enumerate(chain[space.length]) if basis.shape[0])
     return out
 
 
@@ -258,7 +303,7 @@ def essential_dims(space, tol=1e-9):
     values of each of those products: the ones above it are its rank."""
     r = space.diagram.rank
     dims = np.zeros((r, r), dtype=np.int64)
-    for ab, basis in _prefix_kernels(space, tol).items():
+    for ab, basis in _prefix_kernels(space, _check_tol(tol)).items():
         dims[ab] = basis.shape[1]
     return dims
 

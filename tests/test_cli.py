@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import adefusion
+from adefusion import path_model
 from adefusion.cli import (BLOCK_ROWS_BUDGET, PATHS_BUDGET, _encode,
                            _matrix_lines, main)
 from adefusion.diagram import parse_graph_name, perron_frobenius
@@ -321,6 +322,7 @@ def test_domain_error_exit_one(capsys):
 def test_unconverged_power_iteration_exit_one(capsys, monkeypatch):
     # at the default max_iter this is `paths D200 --length 2` (about 2.5 s)
     monkeypatch.setattr(perron_frobenius, "__defaults__", (1e-12, 3))
+    path_model._kernel_chain.cache_clear()
     status, out, err = _run(capsys, ["paths", "A11", "--length", "2"])
     assert status == 1
     assert out == ""

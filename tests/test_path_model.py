@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,7 @@ def test_prefix_kernel_margin(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     for space in _window_spaces():
+        path_model._kernel_chain.cache_clear()
         essential_dims(space)
     sing = np.concatenate(seen)
     assert len(seen) > 1000 and sing.size
@@ -345,8 +348,10 @@ def test_prefix_kernels_match_row_slice_rule(monkeypatch):
     windows = (("E", 6, 11), ("D", 6, 9), ("E", 8, 10))
     spaces = [PathSpace(build_diagram(fam, rank), p, cap=max(p, 8))
               for fam, rank, last in windows for p in range(last + 1)]
+    path_model._kernel_chain.cache_clear()
     got = [_prefix_kernels(space, 1e-9) for space in spaces]
     monkeypatch.setattr(path_model, "_kernel_step", _row_slice_kernel_step)
+    path_model._kernel_chain.cache_clear()
     for space, mine in zip(spaces, got):
         want = _prefix_kernels(space, 1e-9)
         assert mine.keys() == want.keys(), space
@@ -354,3 +359,139 @@ def test_prefix_kernels_match_row_slice_rule(monkeypatch):
             assert np.array_equal(mine[ab], basis), (space, ab)
             assert mine[ab].shape == basis.shape, (space, ab)
             assert mine[ab].tobytes() == basis.tobytes(), (space, ab)
+
+
+def _lex_rows(space, prefix):
+    # each prefix-kernel basis in the space's own path coordinates: rows
+    # come in lexicographic order of the reversed path, put them back
+    blocks = _blocks(space)
+    out = {}
+    for ab, basis in prefix.items():
+        block = blocks[ab]
+        order = sorted(range(len(block)), key=lambda i: block[i][::-1])
+        full = np.zeros((space.dim, basis.shape[1]))
+        full[[space.index[block[i]] for i in order]] = basis
+        out[ab] = full
+    return out
+
+
+@pytest.mark.parametrize("fam, rank, last", [("E", 6, 11), ("D", 6, 9),
+                                             ("E", 8, 13)])
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+def test_kernel_chain_matches_a_fresh_chain(fam, rank, last, order):
+    # the kept levels grow in any order of requests and give the same
+    # bits as a chain built from nothing for each request
+    d = build_diagram(fam, rank)
+    asks = [(p, origin) for p in range(last, -1, -1)
+            for origin in [None] + list(range(rank))]
+    if order == "shuffled":
+        np.random.default_rng(13).shuffle(asks)
+    path_model._kernel_chain.cache_clear()
+    got = [_prefix_kernels(PathSpace(d, p, origin, cap=max(p, 8)), 1e-9)
+           for p, origin in asks]
+    for (p, origin), mine in zip(asks, got):
+        path_model._kernel_chain.cache_clear()
+        want = _prefix_kernels(PathSpace(d, p, origin, cap=max(p, 8)), 1e-9)
+        assert mine.keys() == want.keys(), (p, origin)
+        for ab, basis in want.items():
+            assert mine[ab].shape == basis.shape, (p, origin, ab)
+            assert mine[ab].tobytes() == basis.tobytes(), (p, origin, ab)
+
+
+def test_kept_bases_are_read_only():
+    d = build_diagram("E", 6)
+    for p in (0, 1, 5):
+        for ab, basis in _prefix_kernels(PathSpace(d, p), 1e-9).items():
+            assert not basis.flags.writeable, (p, ab)
+            if basis.size:
+                with pytest.raises(ValueError):
+                    basis[0, 0] = 1.0
+    _, _, levels = path_model._kernel_chain(d, 1e-9)
+    for chain in levels.values():
+        for level in chain:
+            assert not any(basis.flags.writeable for basis in level)
+
+
+def test_path_window_runs_each_kernel_step_once(monkeypatch):
+    # E6 p <= 11, D6 p <= 9, E8 p <= 10: 11 + 9 + 10 steps per origin,
+    # and one perron_frobenius per diagram
+    steps, pfs = [], []
+    step, pf = path_model._kernel_step, path_model.perron_frobenius
+
+    def counting_step(*args):
+        steps.append(len(args[1]))
+        return step(*args)
+
+    def counting_pf(d, *args):
+        pfs.append(d.name)
+        return pf(d, *args)
+
+    monkeypatch.setattr(path_model, "_kernel_step", counting_step)
+    monkeypatch.setattr(path_model, "perron_frobenius", counting_pf)
+    path_model._kernel_chain.cache_clear()
+    windows = (("E", 6, 11), ("D", 6, 9), ("E", 8, 10))
+    asks = [(fam, rank, p) for fam, rank, last in windows
+            for p in range(last + 1)]
+    np.random.default_rng(5).shuffle(asks)
+    for fam, rank, p in asks:
+        essential_dims(PathSpace(build_diagram(fam, rank), p, cap=max(p, 8)))
+    assert steps.count(6) == 6 * (11 + 9)
+    assert steps.count(8) == 8 * 10
+    assert len(steps) == 6 * (11 + 9) + 8 * 10
+    assert sorted(pfs) == ["D6", "E6", "E8"]
+    # asking again runs nothing
+    for fam, rank, p in asks:
+        essential_dims(PathSpace(build_diagram(fam, rank), p, cap=max(p, 8)))
+    assert len(steps) == 6 * (11 + 9) + 8 * 10 and len(pfs) == 3
+
+
+@pytest.mark.parametrize("fam, rank, last", [("E", 6, 8), ("D", 6, 7),
+                                             ("A", 7, 7)])
+def test_annihilators_kill_the_prefix_kernels(fam, rank, last):
+    # a basis property, not only a dimension: a wrong contraction weight
+    # leaves every dim equal to the recurrence but fails here
+    d = build_diagram(fam, rank)
+    for p in range(2, last + 1):
+        space = PathSpace(d, p, cap=max(p, 8))
+        bases = _lex_rows(space, _prefix_kernels(space, 1e-9))
+        for k in range(1, p):
+            ck = annihilation_operator(space, k).matrix
+            for ab, basis in bases.items():
+                assert np.abs(ck @ basis).max(initial=0) <= 1e-12, (p, k, ab)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_library_tol_must_be_finite_and_positive(tol):
+    space = PathSpace(build_diagram("E", 6), 4)
+    before = path_model._kernel_chain.cache_info().currsize
+    with pytest.raises(ValueError, match="finite number above 0"):
+        essential_dims(space, tol)
+    with pytest.raises(ValueError, match="finite number above 0"):
+        essential_subspace(space, tol)
+    assert path_model._kernel_chain.cache_info().currsize == before
+
+
+def test_threads_growing_one_chain_get_the_same_bits():
+    # two threads must never append the same level to one chain
+    d = build_diagram("E", 8)
+    lengths = list(range(13, -1, -1)) * 2
+    want = {}
+    for p in lengths:
+        path_model._kernel_chain.cache_clear()
+        want[p] = _prefix_kernels(PathSpace(d, p, cap=13), 1e-9)
+    path_model._kernel_chain.cache_clear()
+    got = [None] * len(lengths)
+
+    def ask(i):
+        got[i] = _prefix_kernels(PathSpace(d, lengths[i], cap=13), 1e-9)
+
+    threads = [threading.Thread(target=ask, args=(i,))
+               for i in range(len(lengths))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for p, mine in zip(lengths, got):
+        assert mine.keys() == want[p].keys(), p
+        for ab, basis in want[p].items():
+            assert mine[ab].tobytes() == basis.tobytes(), (p, ab)
