@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["SparseRREF", "solve_many", "solve_exact"]
+__all__ = ["SparseRREF", "solve_many"]
 
 
 class SparseRREF:
@@ -119,10 +119,3 @@ def solve_many(a, bs):
         sols.append(x)
     return sols, ncols - len(pivots)
 
-
-def solve_exact(a, b):
-    """Solve A x = b exactly over Q: the single right-hand side case of
-    solve_many.  Returns (solution, nullity), or None if the system is
-    inconsistent."""
-    (x,), nullity = solve_many(a, [b])
-    return None if x is None else (x, nullity)

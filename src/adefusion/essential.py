@@ -98,22 +98,29 @@ def intertwiner_check(ess):
     return np.array_equal(partner.adjacency @ e0, e0 @ ess.diagram.adjacency)
 
 
-def path_counts(diagram, length, origin=0):
-    """Number of length-n edge paths from origin to each vertex, as an
-    int64 vector.  The steps run on Python integers, so a count that
-    would not fit in int64 raises OverflowError instead of wrapping."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+def _count_walk(diagram, length, origin):
+    """Path counts from origin to each vertex at lengths 0 .. length, as
+    lists of Python ints; OverflowError once a count passes int64."""
     limit = int(np.iinfo(np.int64).max)
     nbrs = [diagram.neighbors(b) for b in range(diagram.rank)]
-    v = [0] * diagram.rank
-    v[origin] = 1
+    v = [int(b == origin) for b in range(diagram.rank)]
+    yield v
     for n in range(1, length + 1):
         v = [sum(v[w] for w in ws) for ws in nbrs]
         if max(v) > limit:
             raise OverflowError(
                 "%s has more than %d paths of length %d from vertex %d"
                 % (diagram.name, limit, n, origin))
+        yield v
+
+
+def path_counts(diagram, length, origin=0):
+    """Number of length-n edge paths from origin to each vertex, as an
+    int64 vector; OverflowError, not wrapping, past int64."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    for v in _count_walk(diagram, length, origin):
+        pass
     return np.array(v, dtype=np.int64)
 
 

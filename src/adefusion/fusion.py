@@ -4,10 +4,11 @@ Each vertex a gets an r x r integer matrix N_a with (N_a)[b,c] the
 multiplicity of vertex c in the product a*b.  Vertex 0 is the unit and its
 adjacent vertex realizes the adjacency matrix, so matrices for vertices
 along the long branch follow from the two-term recurrence
-N_next = G.N_cur - N_prev.  The branch vertex of an E diagram is pinned
-down by solving row 0 of a polynomial ansatz in G exactly over Q.  The
-two fork vertices of a D diagram are not polynomials in G; their split is
-one exact solve of y.G = N_f[f1] with two coordinates pinned.
+N_next = G.N_cur - N_prev.  A vertex b with one neighbour t has
+G.N_b = N_t and row 0 of N_b equal to e_b, and walking these equations
+fixes N_b row by row: every row for the branch vertex of an E diagram,
+all but the fork pair for a fork vertex of a D diagram.  The split of
+that pair is one exact solve of y.G = N_f[f1] with two coordinates pinned.
 
 Everything is verified eagerly: entries nonnegative integers, unit and
 generator recovered, row 0 of N_a equal to e_a, symmetry, and commutation
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._ratlin import SparseRREF, solve_exact, solve_many
+from ._ratlin import SparseRREF, solve_many
 from .diagram import Family, cache_per_diagram
 from .errors import NoPositiveHypergroupError, NotDefinedError, StructuralError
 
@@ -82,26 +83,31 @@ def _long_branch(g, k):
     return mats[:k + 1]
 
 
-def _branch_polynomial(g, a):
-    """N_a as the polynomial in g whose row 0 is e_a, solved exactly."""
-    powers = [np.eye(len(g), dtype=np.int64)]
-    for _ in range(len(g) - 1):
-        powers.append(powers[-1] @ g)
-    # sum_k x_k (g^k)[0,c] = delta_{a,c}
-    sol = solve_exact([[int(p[0, c]) for p in powers] for c in range(len(g))],
-                      [int(c == a) for c in range(len(g))])
-    if sol is None or sol[1]:
-        raise _Fail("no polynomial realization for branch vertex")
-    return _as_int_matrix(sum(x * p.astype(object)
-                              for x, p in zip(sol[0], powers) if x))
+def _forced_rows(d, target, a):
+    """The rows of X with G.X = target and row 0 = e_a that the equations
+    force, else None: row i of G.X sums X's rows at the neighbours of i,
+    so an equation with one unknown neighbour fixes that row."""
+    x = [None] * d.rank
+    x[0] = np.eye(d.rank, dtype=np.int64)[a]
+    grew = True
+    while grew:
+        grew = False
+        for i in range(d.rank):
+            unknown = [j for j in d.neighbors(i) if x[j] is None]
+            if len(unknown) == 1:
+                x[unknown[0]] = target[i] - sum(
+                    x[j] for j in d.neighbors(i) if x[j] is not None)
+                grew = True
+    return x
 
 
 def _construct_e(d):
     g = d.adjacency
     r = d.rank
-    t = {6: 2, 7: 3, 8: 4}[r]
+    (t,) = d.neighbors(r - 1)      # the branch vertex's one neighbour
     mats = _long_branch(g, t)
-    nb = _branch_polynomial(g, r - 1)
+    # on E6-E8 the equations G.N_b = N_t force every row of N_b
+    nb = np.array(_forced_rows(d, mats[t], r - 1))
     mats.append(g @ mats[t] - mats[t - 1] - nb)
     while len(mats) < r - 1:
         mats.append(mats[-1] @ g - mats[-2])
@@ -119,18 +125,11 @@ def _construct_d(d):
     if np.any(total < 0):
         raise _Fail("negative entry in fork sum")
 
-    # N_f1 is not a polynomial in g (fork symmetry), so build it row by
-    # row from G.N_f1 = N_f: every row except the fork pair is forced,
-    # and the fork pair splits a budget s between rows f1 and f2.
-    x = [None] * r
-    x[0] = np.zeros(r, dtype=np.int64)
-    x[0][f1] = 1
-    x[1] = nf[0].copy()
-    for i in range(1, f):
-        row = nf[i] - x[i - 1]
-        if np.any(row < 0):
-            raise _Fail("negative forced row in fork matrix")
-        x[i + 1] = row
+    # N_f1 is not a polynomial in g (fork symmetry): G.N_f1 = N_f forces
+    # every row but the fork pair, which splits a budget s.
+    x = _forced_rows(d, nf, f1)[:f1]
+    if any(np.any(row < 0) for row in x):
+        raise _Fail("negative forced row in fork matrix")
     if not np.array_equal(x[f], nf[f1]) or not np.array_equal(nf[f1], nf[f2]):
         raise _Fail("fork rows of the adjacent matrix disagree")
     s = nf[f] - x[f - 1]
@@ -161,7 +160,7 @@ def _construct_d(d):
             continue
         try:
             y = _as_int_matrix([y])[0]
-            nf1 = np.vstack(x[:f1] + [y, s - y])
+            nf1 = np.vstack(x + [y, s - y])
             nf2 = total - nf1
             if np.any(y < 0) or np.any(y > s) or np.any(nf2 < 0):
                 continue

@@ -354,6 +354,7 @@ def test_verify_a11(capsys):
 def test_verify_unknown_graph(capsys):
     status, out, err = _run(capsys, ["verify-paper", "E8"])
     assert status == 1
+    assert out == ""
     assert "no frozen reference data" in err
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from adefusion import (
     fusion_table_ascii,
     multiply,
 )
+from adefusion._ratlin import solve_many
 from adefusion.fusion import (
     _cyclic_generators,
     _Fail,
+    _forced_rows,
+    _long_branch,
     _verify_ring,
     algebra_for,
 )
@@ -97,6 +101,35 @@ def test_e7_has_no_positive_ring():
     with pytest.raises(NoPositiveHypergroupError) as err:
         fusion_matrices(build_diagram("E", 7))
     assert "negative structure constant" in str(err.value)
+
+
+def _branch_polynomial(g, a):
+    """Reference for the forced-row walk: N_a as the polynomial in g whose
+    row 0 is e_a, solved exactly over Q."""
+    powers = [np.eye(len(g), dtype=np.int64)]
+    for _ in range(len(g) - 1):
+        powers.append(powers[-1] @ g)
+    # sum_k x_k (g^k)[0,c] = delta_{a,c}
+    (sol,), nullity = solve_many(
+        [[int(p[0, c]) for p in powers] for c in range(len(g))],
+        [[int(c == a) for c in range(len(g))]])
+    assert sol is not None and nullity == 0
+    total = sum(x * p.astype(object) for x, p in zip(sol, powers) if x)
+    assert all(Fraction(v).denominator == 1 for v in total.flat)
+    return total.astype(np.int64)
+
+
+@pytest.mark.parametrize("rank", [6, 7, 8], ids="E{}".format)
+def test_branch_walk_matches_polynomial(rank):
+    # E7 included: its walk gives the table that the ring check refuses
+    d = build_diagram("E", rank)
+    t = {6: 2, 7: 3, 8: 4}[rank]
+    rows = _forced_rows(d, _long_branch(d.adjacency, t)[t], rank - 1)
+    assert all(row is not None for row in rows)
+    assert np.array_equal(np.array(rows),
+                          _branch_polynomial(d.adjacency, rank - 1))
+    if rank != 7:
+        assert np.array_equal(fusion_matrices(d).n[rank - 1], np.array(rows))
 
 
 @pytest.mark.parametrize("rank", [5, 7, 21, 41], ids="D{}".format)
