@@ -65,6 +65,7 @@ from .ocneanu import (
 )
 from .modular import (
     ModularRep,
+    modular_rep,
     verlinde_s,
     verlinde_t,
     toric_matrices,

@@ -37,7 +37,7 @@ from .diagram import parse_graph_name
 from .errors import AdeError, UnsupportedDiagramError
 from .essential import _count_walk, essential_json, essential_matrices
 from .fusion import algebra_for, fusion_json, fusion_table_ascii
-from .modular import (ModularRep, modular_invariance_check, modular_json,
+from .modular import (modular_invariance_check, modular_json, modular_rep,
                       partition_function, toric_matrices)
 from .ocneanu import (cayley_dot, element_dims, ocneanu_json,
                       quantum_symmetry_algebra)
@@ -272,7 +272,7 @@ def _cmd_toric(args, parser, diagram):
 def _cmd_modular_check(args, parser, diagram):
     if args.format == "json":
         return modular_json(diagram.name, tol=args.tol)
-    rep = ModularRep(diagram.coxeter_number)
+    rep = modular_rep(diagram)
     res = modular_invariance_check(diagram.name, tol=args.tol)
     dev = rep.relation_deviations()
     lines = [

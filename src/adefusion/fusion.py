@@ -319,16 +319,18 @@ def fusion_closed_subsets(algebra):
     return sorted(found, key=lambda s: (len(s), s))
 
 
-def ambichiral_subalgebra(algebra):
+@cache_per_diagram
+def ambichiral_subalgebra(d):
     """The subset of vertices spanning the ambichiral part: every vertex
     for an A diagram, the multiplicity-free closed subset of size 3 for
-    E6 and of size 2 for E8.  Not defined for the other families."""
-    d = algebra.diagram
+    E6 and of size 2 for E8.  Not defined for the other families.  Takes
+    the algebra, its diagram or its name, and keeps the subset."""
     if d.family is Family.A:
         return tuple(range(d.rank))
     if d.family is not Family.E or d.rank == 7:
         raise NotDefinedError(
             "ambichiral subalgebra is not defined for %s" % d.name)
+    algebra = fusion_matrices(d)
     size = {6: 3, 8: 2}[d.rank]
     picks = [s for s in fusion_closed_subsets(algebra) if len(s) == size
              and algebra.n[np.ix_(s, s, s)].max() <= 1]

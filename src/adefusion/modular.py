@@ -27,6 +27,7 @@ from .ocneanu import quantum_symmetry_algebra
 
 __all__ = [
     "ModularRep",
+    "modular_rep",
     "verlinde_s",
     "verlinde_t",
     "toric_matrices",
@@ -93,6 +94,16 @@ class ModularRep:
         return "ModularRep(level=%d)" % self.level
 
 
+@cache_per_diagram
+def modular_rep(diagram):
+    """The kept ModularRep at the diagram's Coxeter number, its S and T
+    read-only."""
+    rep = ModularRep(diagram.coxeter_number)
+    rep.s.setflags(write=False)
+    rep.t.setflags(write=False)
+    return rep
+
+
 def toric_matrices(graph):
     """One (N-1) x (N-1) integer matrix per canonical element, each
     checked to be independent of the representative pair."""
@@ -115,7 +126,7 @@ def modular_invariance_check(graph, element=None, tol=1e-9):
     if element is None:
         element = qs.element(0, 0)
     w = _toric_matrices(graph)[element]
-    rep = ModularRep(qs.diagram.coxeter_number)
+    rep = modular_rep(graph)
     ds = float(np.abs(w @ rep.s - rep.s @ w).max())
     dt = float(np.abs(w @ rep.t - rep.t @ w).max())
     return {
@@ -178,11 +189,10 @@ def modular_json(graph, tol=1e-9):
     """Toric matrices, invariant and invariance check (at tol) as a dict
     of JSON values."""
     qs = quantum_symmetry_algebra(graph)
-    rep = ModularRep(qs.diagram.coxeter_number)
     return {
         "graph": qs.diagram.name,
         "level": qs.diagram.coxeter_number,
-        "t_order": rep.t_order,
+        "t_order": modular_rep(graph).t_order,
         "names": list(qs.element_names),
         "toric": [m.tolist() for m in _toric_matrices(graph)],
         "partition_function": partition_function(graph),

@@ -30,7 +30,8 @@ each origin asked, the read-only kernel bases at every length up to the
 longest one asked.  A longer request grows the chain by the missing steps
 only.  The level at length q holds, for each end b, an N_q(a, b) x
 dim ker_q(a, b) array of floats, N_q(a, b) the number of paths from a to
-b.  essential_subspace keeps nothing.  tol must be finite and above 0.
+b.  essential_subspace's bases are kept the same way, read-only, per
+(diagram, length, origin, tol).  tol must be finite and above 0.
 """
 
 from __future__ import annotations
@@ -203,16 +204,27 @@ def _constraint_blocks(space):
 def essential_subspace(space, tol=1e-9):
     """Orthonormal bases of the joint kernel of all C_k, one per
     (origin, endpoint) pair: {(a, b): rows-are-basis-vectors array}.
-    Coordinates follow the lexicographic order of the block's paths."""
-    _check_tol(tol)
+    Coordinates follow the lexicographic order of the block's paths.  The
+    dict is new on each call; the bases are read-only and kept per
+    (diagram, length, origin, tol)."""
+    return dict(_subspace_bases(space.diagram, space.length, space.origin,
+                                _check_tol(tol)))
+
+
+@cache_per_diagram
+def _subspace_bases(d, length, origin, tol):
     out = {}
-    for ab, block, kmat in _constraint_blocks(space):
+    for ab, block, kmat in _constraint_blocks(
+            PathSpace(d, length, origin, cap=length)):
         if kmat is None:
             out[ab] = np.eye(len(block))
             continue
         _, sing, vh = np.linalg.svd(
             kmat, full_matrices=kmat.shape[0] < kmat.shape[1])
-        out[ab] = vh[int(np.sum(sing > tol)):]
+        # a copy: a view would keep all of vh, n x n for n paths (31 MB
+        # over the blocks of E6 at length 11, where every kernel is empty)
+        out[ab] = vh[int(np.sum(sing > tol)):].copy()
+    _read_only(out.values())
     return out
 
 
@@ -319,7 +331,7 @@ def spanning_json(space, tol=1e-9):
             "end": b,
             "dim": int(basis.shape[0]),
             "paths": [list(p) for p in paths[a, b]],
-            "basis": [[float(x) for x in row] for row in basis],
+            "basis": basis.tolist(),
         })
     return {
         "graph": space.diagram.name,

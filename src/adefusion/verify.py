@@ -2,8 +2,9 @@
 
 E6_CHECKS and A11_CHECKS are ordered (name, check) pairs.  A check is a
 plain function of no arguments that fetches what it compares through the
-library's caches and raises on a mismatch; run() turns each exception into
-a FAIL line, so a layer that raises fails only the checks that reach it.
+library's caches and raises AssertionError on a mismatch; run() turns each
+exception into a FAIL line, so a layer that raises fails only the checks
+that reach it.  A FAIL line names the type of any exception but a mismatch.
 """
 
 import math
@@ -17,7 +18,7 @@ from .essential import (decompose_left, essential_matrices, esspath_dims,
                         fused_adjacency, intertwiner_check, para_invariants,
                         recurrence_rows)
 from .fusion import algebra_for, fusion_matrices
-from .modular import (ModularRep, modular_invariance_check,
+from .modular import (modular_invariance_check, modular_rep,
                       partition_function, toric_matrices)
 from .ocneanu import (decompose_right, element_dims, multiply_qs,
                       quantum_symmetry_algebra, s_matrices)
@@ -220,7 +221,7 @@ def _toric_coincidences():
 
 
 def _modular_relations():
-    rep = ModularRep(12)
+    rep = modular_rep("A11")
     dev = rep.relation_deviations()
     _require(max(dev.values()) <= 1e-9,
              "generator relations deviate: %r" % dev)
@@ -228,13 +229,13 @@ def _modular_relations():
 
 
 def _modular_diagonalize():
-    s = ModularRep(12).s
+    s = modular_rep("A11").s
     m = np.linalg.solve(s, algebra_for("A11").n[1].astype(complex) @ s)
     _close(m, np.diag(np.diag(m)), "S does not diagonalize the A11 adjacency")
 
 
 def _modular_t_blocks():
-    t = np.diag(ModularRep(12).t)
+    t = np.diag(modular_rep("A11").t)
     for i, j in golden.E6_T_BLOCKS:
         _close(t[i - 1], t[j - 1], "T eigenvalues %d and %d differ" % (i, j))
 
@@ -335,7 +336,8 @@ A11_CHECKS = (
 def run(graph_name):
     """One PASS or FAIL line per check of graph_name, then a count, and
     the exit status: 0 if every check passed, else 1.  A check's exception
-    becomes its FAIL line.  NotDefinedError for a graph with no frozen
+    becomes its FAIL line: a mismatch as its message, any other exception
+    as its type and message.  NotDefinedError for a graph with no frozen
     reference data."""
     checks = {"E6": E6_CHECKS, "A11": A11_CHECKS}.get(graph_name)
     if checks is None:
@@ -344,8 +346,10 @@ def run(graph_name):
     for name, check in checks:
         try:
             check()
-        except Exception as exc:
+        except AssertionError as exc:
             lines.append("FAIL %s: %s" % (name, exc))
+        except Exception as exc:
+            lines.append("FAIL %s: %s: %s" % (name, type(exc).__name__, exc))
         else:
             lines.append("PASS %s" % name)
     passed = sum(line.startswith("PASS") for line in lines)

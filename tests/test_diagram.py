@@ -83,6 +83,32 @@ def test_perron_frobenius_e6_q_numbers():
     assert np.allclose(v, want, atol=1e-9)
 
 
+def _norm_power_iteration(d, tol=1e-12, max_iter=100000):
+    # reference: the loop with np.linalg.norm that perron_frobenius replaced
+    if d.rank == 1:
+        return np.array([1.0])
+    shifted = d.adjacency.astype(float) + np.eye(d.rank)
+    v = np.ones(d.rank)
+    for _ in range(max_iter):
+        w = shifted @ v
+        w /= np.linalg.norm(w)
+        if np.linalg.norm(w - v) < tol:
+            v = w
+            break
+        v = w
+    return v / v[0]
+
+
+def test_perron_frobenius_matches_norm_loop_bit_for_bit():
+    graphs = ([("A", n) for n in range(1, 61)]
+              + [("D", n) for n in range(4, 42)]
+              + [("E", n) for n in (6, 7, 8)])
+    for fam, rank in graphs:
+        d = build_diagram(fam, rank)
+        want = _norm_power_iteration(d)
+        assert perron_frobenius(d).tobytes() == want.tobytes(), d.name
+
+
 def test_perron_frobenius_refuses_when_unconverged():
     with pytest.raises(StructuralError, match="power iteration residual"):
         perron_frobenius(build_diagram("A", 11), max_iter=3)

@@ -25,16 +25,19 @@ A11_NAMES = ["dims-a11", "qs-dimension", "modular-relations",
 
 
 def _verify(capsys, graph):
-    """verify-paper through the CLI: status, {name: PASS/FAIL}, last line,
-    stderr."""
+    """verify-paper through the CLI: status, {name: PASS/FAIL}, {name: FAIL
+    reason}, last line, stderr."""
     status = cli.main(["verify-paper", graph])
     out, err = capsys.readouterr()
     *lines, last = out.splitlines()
-    verdicts = {}
+    verdicts, reasons = {}, {}
     for line in lines:
         verdict, name = line.split(" ", 1)
-        verdicts[name.split(":", 1)[0]] = verdict
-    return status, verdicts, last, err
+        name, _, reason = name.partition(": ")
+        verdicts[name] = verdict
+        if reason:
+            reasons[name] = reason
+    return status, verdicts, reasons, last, err
 
 
 @pytest.mark.parametrize("graph, names", [("E6", E6_NAMES),
@@ -42,8 +45,9 @@ def _verify(capsys, graph):
 def test_check_names_and_order(capsys, graph, names):
     checks = {"E6": verify.E6_CHECKS, "A11": verify.A11_CHECKS}[graph]
     assert [name for name, _ in checks] == names
-    status, verdicts, last, _ = _verify(capsys, graph)
+    status, verdicts, reasons, last, _ = _verify(capsys, graph)
     assert status == 0
+    assert reasons == {}
     assert list(verdicts) == names
     assert set(verdicts.values()) == {"PASS"}
     assert last == "%d of %d checks passed" % (len(names), len(names))
@@ -64,7 +68,7 @@ def test_broken_layer_fails_only_its_checks(capsys, monkeypatch, exc):
         if name.startswith("adefusion") and \
                 getattr(mod, "quantum_symmetry_algebra", None) is real:
             monkeypatch.setattr(mod, "quantum_symmetry_algebra", broken)
-    status, verdicts, last, err = _verify(capsys, "E6")
+    status, verdicts, reasons, last, err = _verify(capsys, "E6")
     assert status == 1
     assert "Traceback" not in err
     assert list(verdicts) == E6_NAMES
@@ -73,6 +77,9 @@ def test_broken_layer_fails_only_its_checks(capsys, monkeypatch, exc):
             assert verdict == "PASS", name
         if name.split("-")[0] in ("qs", "toric"):
             assert verdict == "FAIL", name
+    # a FAIL from a raising layer names the exception type
+    assert set(reasons.values()) == {
+        "%s: qs layer is broken" % type(exc).__name__}
     passed = sum(v == "PASS" for v in verdicts.values())
     assert last == "%d of 35 checks passed" % passed
 
@@ -81,10 +88,13 @@ def test_wrong_frozen_toric_matrix_fails(capsys, monkeypatch):
     rows = [list(row) for row in golden.E6_W[(0, 0)]]
     rows[0][0] += 1
     monkeypatch.setitem(golden.E6_W, (0, 0), rows)
-    status, verdicts, last, _ = _verify(capsys, "E6")
+    status, verdicts, reasons, last, _ = _verify(capsys, "E6")
     assert status == 1
     assert [n for n, v in verdicts.items() if v == "FAIL"] == \
         ["toric-matrices"]
+    # a mismatch keeps its plain message
+    assert reasons == {"toric-matrices":
+                       "W of 0(x)0 does not match the frozen value"}
     assert last == "34 of 35 checks passed"
 
 
