@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["SparseRREF", "solve_many"]
+__all__ = ["SparseRREF"]
 
 
 class SparseRREF:
@@ -76,46 +76,3 @@ class SparseRREF:
         for c in row:
             self._by_col.setdefault(c, set()).add(p)
         return True
-
-
-def solve_many(a, bs):
-    """Solve A x = b exactly over Q for every right-hand side b in bs.
-
-    a: list of rows (list of int/Fraction); bs: list of right-hand sides,
-    each a list with one entry per row of a.  Returns (solutions, nullity):
-    one particular solution per b, None where that system is inconsistent,
-    and the nullspace dimension of A.  One dense Gauss-Jordan pass over
-    the matrix augmented by every right-hand side at once; its callers,
-    all in fusion, solve systems of at most a few dozen variables.
-    """
-    m = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
-         for i, row in enumerate(a)]
-    nrows, ncols = len(m), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv if x else x for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                coef = m[i][c]
-                m[i] = [x - coef * y if y else x for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    sols = []
-    for k in range(ncols, ncols + len(bs)):
-        if any(m[i][k] for i in range(r, nrows)):
-            sols.append(None)
-            continue
-        x = [Fraction(0)] * ncols
-        for i, c in enumerate(pivots):
-            x[c] = m[i][k]
-        sols.append(x)
-    return sols, ncols - len(pivots)
-

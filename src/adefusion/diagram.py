@@ -157,7 +157,8 @@ def cache_per_diagram(fn):
       diagram     _perron_frobenius: the PF vector, per (tol, max_iter)
       fusion      fusion_matrices; ambichiral_subalgebra
       ocneanu     quantum_symmetry_algebra; _generator_matrices;
-                  _s_matrices
+                  _s_matrices, and _s_stack, their one stacked array,
+                  which decompose_right reads
       modular     modular_rep: S, T and the order of T at the Coxeter
                   number; _toric_matrices
       path_model  _kernel_chain: the prefix kernels, per tol;

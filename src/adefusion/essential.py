@@ -16,7 +16,8 @@ import numpy as np
 
 from .diagram import Family, build_diagram
 from .errors import StructuralError
-from .fusion import algebra_for, ambichiral_subalgebra, fusion_matrices
+from .fusion import (_int_matmul, algebra_for, ambichiral_subalgebra,
+                     fusion_matrices)
 
 __all__ = [
     "EssentialSet",
@@ -44,7 +45,7 @@ class EssentialSet:
                 "recurrence row %d of %s does not vanish"
                 % (self.nrows, self.diagram.name))
         e0 = rows[: self.nrows]
-        self.e = np.stack([e0 @ algebra.n[a] for a in range(algebra.rank)])
+        self.e = _int_matmul(e0, algebra.n)        # E_a = E_0 . N_a
         self.e.setflags(write=False)
         if np.any(self.e < 0):
             raise StructuralError("negative essential path count")

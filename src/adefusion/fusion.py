@@ -8,25 +8,24 @@ N_next = G.N_cur - N_prev.  A vertex b with one neighbour t has
 G.N_b = N_t and row 0 of N_b equal to e_b, and walking these equations
 fixes N_b row by row: every row for the branch vertex of an E diagram,
 all but the fork pair for a fork vertex of a D diagram.  The split of
-that pair is one exact solve of y.G = N_f[f1] with two coordinates pinned.
+that pair walks y.G = N_f[f1] the same way, from two pinned coordinates.
 
 Everything is verified eagerly: entries nonnegative integers, unit and
 generator recovered, row 0 of N_a equal to e_a, symmetry, and commutation
-with the few N_s for which e_0 is a cyclic vector, found by an exact
-rank over Q.  Pairwise commutativity follows from that certificate, and
-closure of the structure constants from symmetry plus commutation (see
-_verify_ring).  Diagrams admitting no such structure (E7, D_odd) raise
-NoPositiveHypergroupError from the failed construction itself.
+with the few N_s for which e_0 is a cyclic vector, found by a rank modulo
+the prime 2^31 - 1.  Pairwise commutativity follows from that
+certificate, and closure of the structure constants from symmetry plus
+commutation (see _verify_ring).  Diagrams admitting no such structure
+(E7, D_odd) raise NoPositiveHypergroupError from the failed construction
+itself.  All of it is integer arithmetic (large products: _int_matmul).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from ._ratlin import SparseRREF, solve_many
 from .diagram import Family, cache_per_diagram
 from .errors import NoPositiveHypergroupError, NotDefinedError, StructuralError
 
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 _SPLIT_CAP = 500000
+_P = 2 ** 31 - 1            # the prime of _cyclic_generators' rank
 
 
 class _Fail(Exception):
@@ -68,18 +68,32 @@ class FusionAlgebra:
         return "FusionAlgebra(%s)" % self.diagram.name
 
 
-def _as_int_matrix(rows):
-    bad = [x for row in rows for x in row if Fraction(x).denominator != 1]
-    if bad:
-        raise _Fail("non-integer entry %s" % Fraction(bad[0]))
-    return np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+def _int_matmul(a, b):
+    """a @ b for arrays of integers (int64, or float64 holding integers),
+    2-D or stacked, exactly, as int64.
+
+    When max|a| . max|b| . k < 2^53, k the inner dimension, every term and
+    partial sum is an integer that float64 holds exactly, so the product
+    runs on float64 BLAS (the FFLAS-FFPACK technique, Dumas-Giorgi-Pernet
+    2008).  Above that bound it runs in int64, and OverflowError refuses
+    a product whose sums could pass int64.
+    """
+    bound = a.shape[-1]
+    for x in (a, b):
+        bound *= max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    if bound < 2 ** 53:
+        return (a.astype(np.float64, copy=False)
+                @ b.astype(np.float64, copy=False)).astype(np.int64)
+    if bound > np.iinfo(np.int64).max:
+        raise OverflowError("integer product bound %d passes int64" % bound)
+    return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
 
 
 def _long_branch(g, k):
     """N_0 .. N_k along the long branch: N_{j+1} = N_j.G - N_{j-1}."""
     mats = [np.eye(len(g), dtype=np.int64), g.copy()]
     for _ in range(k - 1):
-        mats.append(mats[-1] @ g - mats[-2])
+        mats.append(_int_matmul(mats[-1], g) - mats[-2])
     return mats[:k + 1]
 
 
@@ -137,29 +151,28 @@ def _construct_d(d):
         raise _Fail("negative fork row budget")
 
     # D38 and up are refused here only because the benchmark records
-    # `fusion D38` as exit 1; the pinned solve below has no such ceiling.
+    # `fusion D38` as exit 1; the fork walk below has no such ceiling.
     space = math.prod(int(v) + 1 for v in s)
     if space > _SPLIT_CAP:
         raise StructuralError("fork split search space too large (%d)" % space)
 
-    # Row f1 of N_f1.G = N_f is y.G = N_f[f1].  On D_even the left kernel
-    # of G is spanned by e_f1 - e_f2 and an alternating long-branch
-    # vector, and it projects bijectively onto coordinates {0, f2}: so
-    # each pin (y_0, y_f2) within the budget s fixes y, and all pins are
-    # solved in one exact pass.
-    pin = [[int(c == 0) for c in range(r)], [int(c == f2) for c in range(r)]]
-    sols, nullity = solve_many(g.T.tolist() + pin,
-                               [nf[f1].tolist() + [y0, y2]
-                                for y0 in range(s[0] + 1)
-                                for y2 in range(s[f2] + 1)])
-    if nullity:
-        raise StructuralError("pinned fork split is not unique for %s" % d.name)
+    # Row f1 of N_f1.G = N_f is y.G = t, t = N_f[f1].  Its equations walk y
+    # from the pins (y_0, y_f2), as _forced_rows walks the other rows:
+    # y_1 = t_0, y_{i+1} = t_i - y_{i-1} along the long branch, then
+    # y_f1 = t_f - y_{f-1} - y_f2.  So each pin within the budget s fixes
+    # at most one y, and the pins whose walk solves y.G = t exactly are
+    # the candidates, in the order (y_0, y_f2).
+    t = nf[f1]
+    pins = np.indices((s[0] + 1, s[f2] + 1)).reshape(2, -1)
+    ys = np.zeros((pins.shape[1], r), dtype=np.int64)
+    ys[:, 0], ys[:, f2] = pins
+    ys[:, 1] = t[0]
+    for i in range(1, f):
+        ys[:, i + 1] = t[i] - ys[:, i - 1]
+    ys[:, f1] = t[f] - ys[:, f - 1] - ys[:, f2]
     found = []
-    for y in sols:
-        if y is None:
-            continue
+    for y in ys[np.all(ys @ g == t, axis=1)]:
         try:
-            y = _as_int_matrix([y])[0]
             nf1 = np.vstack(x + [y, s - y])
             nf2 = total - nf1
             if np.any(y < 0) or np.any(y > s) or np.any(nf2 < 0):
@@ -176,37 +189,55 @@ def _construct_d(d):
     return found[0]
 
 
+def _dot_mod(c, m):
+    """c @ m modulo _P (c a vector or a matrix), for entries in [0, _P)
+    and at most 2^15 rows of m: c is split into 16-bit halves, so that no
+    int64 sum overflows."""
+    return ((c & 0xFFFF) @ m + ((c >> 16) @ m % _P << 16)) % _P
+
+
 def _cyclic_generators(n):
     """The greedy S of _verify_ring: vertices s such that e_0 is cyclic
     for the matrices N_s, starting from the generator 1.
 
     Closes span{e_0.w}, w a word in S, under right multiplication by every
-    N_s, exactly over Q; while the span falls short of Q^r, adds the first
-    vertex a with e_a outside it (e_0.N_a = e_a, so this ends).
+    N_s, modulo the prime _P; while the span falls short of F_P^r, adds
+    the first vertex a with e_a outside it (e_0.N_a = e_a, so this ends).
+    The span is kept as reduced echelon rows mod _P, in int64.
     """
     r = len(n)
     gens = [1] if r > 1 else []
-    span = SparseRREF(r)
+    mods = [n[s] % _P for s in gens]
+    rows = np.zeros((r, r), dtype=np.int64)
+    piv = np.zeros(r, dtype=np.intp)
+    rank = 0
 
-    def times(v, s):
-        out = {}
-        for j, x in v.items():
-            for c in np.flatnonzero(n[s, j]).tolist():
-                out[c] = out.get(c, 0) + x * int(n[s, j, c])
-        return out
+    def residue(v):
+        c = v[piv[:rank]]
+        return (v - _dot_mod(c, rows[:rank])) % _P if c.any() else v
 
-    todo = [{0: 1}]
+    eye = np.eye(r, dtype=np.int64)
+    todo = [eye[0]]
     while True:
-        while todo:
-            v = span.residue(todo.pop())
-            if v:
-                span.insert(v)
-                todo += [times(v, s) for s in gens]
-        if span.rank == r:
+        while todo and rank < r:
+            v = residue(todo.pop())
+            nz = np.flatnonzero(v)
+            if nz.size:
+                p = nz[0]
+                if v[p] != 1:
+                    v = v * pow(int(v[p]), -1, _P) % _P
+                col = rows[:rank, p]
+                if col.any():
+                    rows[:rank] = (rows[:rank] - np.outer(col, v)) % _P
+                rows[rank], piv[rank] = v, p
+                rank += 1
+                todo += [_dot_mod(v, m) for m in mods]
+        if rank == r:
             return tuple(gens)
-        a = next(a for a in range(r) if span.residue({a: 1}))
+        a = next(a for a in range(r) if residue(eye[a]).any())
         gens.append(a)
-        todo += [times(v, a) for v in span.rows.values()]
+        mods.append(n[a] % _P)
+        todo += list(_dot_mod(rows[:rank], mods[-1]))
 
 
 def _verify_ring(d, mats):
@@ -218,7 +249,9 @@ def _verify_ring(d, mats):
     _cyclic_generators(n), which is |S|.r products instead of r^2.  Let
     A be the algebra the N_s generate.  It is commutative, since the pairs
     inside S are among those checked, and e_0 is cyclic for it: S was
-    grown until the vectors e_0.w span Q^r, by an exact rank.  Every X
+    grown until the vectors e_0.w span F_P^r, P = _P, so some r of them
+    have a determinant that is nonzero mod P, hence nonzero, and they span
+    Q^r.  (An unlucky P would only make S larger.)  Every X
     commuting with A lies in A: take a in A with e_0.X = e_0.a; then for
     every b in A, (e_0.b).X = e_0.X.b = e_0.a.b = (e_0.b).a, and the e_0.b
     span Q^r, so X = a.  Each N_a commutes with A, so it lies in A, and the
@@ -249,8 +282,11 @@ def _verify_ring(d, mats):
         raise _Fail("row 0 of matrix %d is not a unit vector" % bad[0])
     if not np.array_equal(n, n.transpose(1, 0, 2)):
         raise _Fail("structure constants are not symmetric")
-    for s in _cyclic_generators(n):
-        bad = np.flatnonzero(np.any(n @ n[s] != n[s] @ n, axis=(1, 2)))
+    gens = _cyclic_generators(n)
+    n = n.astype(np.float64)        # once, and the int64 copy goes
+    for s in gens:
+        bad = np.flatnonzero(np.any(
+            _int_matmul(n, n[s]) != _int_matmul(n[s], n), axis=(1, 2)))
         if bad.size:
             raise _Fail("matrices %d and %d do not commute" % (bad[0], s))
 
@@ -302,12 +338,13 @@ def fusion_closed_subsets(algebra):
     support = algebra.n > 0
 
     def closure(sub):
-        idx = np.array(sub)
+        # a set, not np.union1d, which imports numpy.ma on its first call
+        idx = sorted(sub)
         while True:
-            prods = np.flatnonzero(support[np.ix_(idx, idx)].any(axis=(0, 1)))
-            grown = np.union1d(idx, prods)
+            prods = support[np.ix_(idx, idx)].any(axis=(0, 1))
+            grown = sorted(set(idx).union(np.flatnonzero(prods).tolist()))
             if len(grown) == len(idx):
-                return tuple(grown.tolist())
+                return tuple(idx)
             idx = grown
 
     found, todo = set(), [(0,)]

@@ -3,8 +3,8 @@
 The level is the Coxeter number N.  S and T act on the N-1 characters
 indexed 1..N-1 (stored 0-based): S[m,n] is a normalized sine kernel and T
 a diagonal of phases, satisfying S^2 = -1, S^4 = 1, (ST)^3 = 1, with the
-order of T computed exactly from the phase fractions.  Commutation of an
-integer W with T is decided exactly, with S by a float tolerance.
+order of T computed exactly in integers.  Commutation of an integer W
+with T is decided exactly, with S by a float tolerance.
 
 A toric matrix is attached to every canonical quantum symmetry element
 a(x)b as E_a . (E^r_b)^T, the reduced essential matrix keeping only
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,14 +52,11 @@ def verlinde_t(level):
 
 
 def _t_order(level):
-    """Smallest k with T^k = 1, from the exact phase fractions."""
-    k = 1
-    for m in range(1, level):
-        f = Fraction(m * m, 2 * level) + Fraction(1, 4)
-        # need k*f an even integer
-        g = f / 2
-        k = k * g.denominator // math.gcd(k, g.denominator)
-    return k
+    """Smallest k with T^k = 1: T[m,m] = exp(2 pi i (2m^2 + N) / 8N) has
+    order 8N / gcd(8N, 2m^2 + N), and T's order is their lcm."""
+    n8 = 8 * level
+    return math.lcm(*(n8 // math.gcd(n8, 2 * m * m + level)
+                      for m in range(1, level)))
 
 
 class ModularRep:

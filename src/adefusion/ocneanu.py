@@ -32,9 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._ratlin import SparseRREF
-from .diagram import cache_per_diagram
+from .diagram import _frozen, cache_per_diagram
 from .errors import StructuralError
-from .fusion import ambichiral_subalgebra, fusion_matrices
+from .fusion import _int_matmul, ambichiral_subalgebra, fusion_matrices
 
 __all__ = [
     "QuantumSymmetries",
@@ -99,12 +99,15 @@ class QuantumSymmetries:
                 % (len(simples), self.dim))
         gram_c = np.stack(cols, axis=1)
 
-        # Gram = C.C^T, one row block a(x)- at a time in O(r^3) memory
-        flat = nj.reshape(len(nj), r * r)
+        # Gram = C.C^T, one row block a(x)- at a time in O(r^3) memory; the
+        # large operands go to float64 once, for _int_matmul
+        flat = nj.reshape(len(nj), r * r).astype(np.float64)
+        gram_ct = gram_c.T.astype(np.float64)
         for a in range(r):
-            block = (nj[:, a, :].T @ flat).reshape(r, r, r)
+            block = _int_matmul(nj[:, a, :].T, flat).reshape(r, r, r)
             block = block.transpose(1, 0, 2).reshape(r, r * r)
-            if not np.array_equal(block, gram_c[a * r:(a + 1) * r] @ gram_c.T):
+            rows = _int_matmul(gram_c[a * r:(a + 1) * r], gram_ct)
+            if not np.array_equal(block, rows):
                 raise StructuralError(
                     "inner products of %d(x)b are not sums of simple "
                     "objects" % a)
@@ -283,13 +286,18 @@ def element_dims(qs):
     return np.array([int(m.sum()) for m in _s_matrices(qs)], dtype=np.int64)
 
 
+@cache_per_diagram
+def _s_stack(diagram):
+    return _frozen(np.stack(_s_matrices(diagram)))
+
+
 def decompose_right(ess, a, b):
     """Coefficients of E_a^T . E_b over the quantum symmetry matrices.
     The reconstruction is checked exactly."""
-    smats = _s_matrices(ess)
-    coeffs = np.array([int(s[a, b]) for s in smats], dtype=np.int64)
+    smats = _s_stack(ess)
+    coeffs = smats[:, a, b].copy()
     target = ess.e[a].T @ ess.e[b]
-    rebuilt = np.tensordot(coeffs, np.array(smats), axes=(0, 0))
+    rebuilt = np.tensordot(coeffs, smats, axes=(0, 0))
     if not np.array_equal(rebuilt, target):
         raise StructuralError(
             "right decomposition of (%d,%d) does not reconstruct" % (a, b))

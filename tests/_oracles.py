@@ -1,0 +1,142 @@
+"""Reference implementations that the tests compare the package with.
+
+Each is the plain, slower way to compute a value that the package now
+computes another way: exact linear algebra over Fraction, and the
+constructions the package used before it kept to integers.  None of them
+is used by the package itself.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from adefusion._ratlin import SparseRREF
+from adefusion.fusion import _Fail, _forced_rows, _long_branch, _verify_ring
+
+
+def solve_many(a, bs):
+    """Solve A x = b exactly over Q for every right-hand side b in bs.
+
+    a: list of rows (list of int/Fraction); bs: list of right-hand sides,
+    each a list with one entry per row of a.  Returns (solutions, nullity):
+    one particular solution per b, None where that system is inconsistent,
+    and the nullspace dimension of A.  One dense Gauss-Jordan pass over
+    the matrix augmented by every right-hand side at once, for systems of
+    at most a few dozen variables.
+    """
+    m = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
+         for i, row in enumerate(a)]
+    nrows, ncols = len(m), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv if x else x for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                coef = m[i][c]
+                m[i] = [x - coef * y if y else x for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    sols = []
+    for k in range(ncols, ncols + len(bs)):
+        if any(m[i][k] for i in range(r, nrows)):
+            sols.append(None)
+            continue
+        x = [Fraction(0)] * ncols
+        for i, c in enumerate(pivots):
+            x[c] = m[i][k]
+        sols.append(x)
+    return sols, ncols - len(pivots)
+
+
+def cyclic_generators_over_q(n):
+    """fusion._cyclic_generators with its rank taken exactly over Q, in a
+    SparseRREF, instead of modulo a prime; the same greedy order."""
+    r = len(n)
+    gens = [1] if r > 1 else []
+    span = SparseRREF(r)
+
+    def times(v, s):
+        out = {}
+        for j, x in v.items():
+            for c in np.flatnonzero(n[s, j]).tolist():
+                out[c] = out.get(c, 0) + x * int(n[s, j, c])
+        return out
+
+    todo = [{0: 1}]
+    while True:
+        while todo:
+            v = span.residue(todo.pop())
+            if v:
+                span.insert(v)
+                todo += [times(v, s) for s in gens]
+        if span.rank == r:
+            return tuple(gens)
+        a = next(a for a in range(r) if span.residue({a: 1}))
+        gens.append(a)
+        todo += [times(v, a) for v in span.rows.values()]
+
+
+def fork_split_by_pinned_solve(d):
+    """fusion._construct_d with the fork split found by solve_many: y.G =
+    N_f[f1] solved over Q for every pin (y_0, y_f2) within the budget s,
+    each integer solution checked.  Returns the tables or raises _Fail,
+    as _construct_d does; it has no cap on the search space."""
+    g = d.adjacency
+    r = d.rank
+    f = r - 3
+    f1, f2 = r - 2, r - 1
+    mats = _long_branch(g, f)
+    nf = mats[f]
+    total = g @ nf - mats[f - 1]
+    if np.any(total < 0):
+        raise _Fail("negative entry in fork sum")
+    x = _forced_rows(d, nf, f1)[:f1]
+    if any(np.any(row < 0) for row in x):
+        raise _Fail("negative forced row in fork matrix")
+    if not np.array_equal(x[f], nf[f1]) or not np.array_equal(nf[f1], nf[f2]):
+        raise _Fail("fork rows of the adjacent matrix disagree")
+    s = nf[f] - x[f - 1]
+    if np.any(s < 0):
+        raise _Fail("negative fork row budget")
+    pin = [[int(c == 0) for c in range(r)], [int(c == f2) for c in range(r)]]
+    sols, nullity = solve_many(g.T.tolist() + pin,
+                               [nf[f1].tolist() + [y0, y2]
+                                for y0 in range(s[0] + 1)
+                                for y2 in range(s[f2] + 1)])
+    assert nullity == 0
+    found = []
+    for y in sols:
+        if y is None or any(c.denominator != 1 for c in y):
+            continue
+        y = np.array([int(c) for c in y], dtype=np.int64)
+        nf1 = np.vstack(x + [y, s - y])
+        nf2 = total - nf1
+        if np.any(y < 0) or np.any(y > s) or np.any(nf2 < 0):
+            continue
+        try:
+            _verify_ring(d, mats + [nf1, nf2])
+        except _Fail:
+            continue
+        found.append(mats + [nf1, nf2])
+    if len(found) != 1:
+        raise _Fail("%d fork splits close the ring" % len(found))
+    return found[0]
+
+
+def t_order_by_fractions(level):
+    """The order of T from its phase fractions: the smallest k with
+    k.(m^2/2N + 1/4) an even integer for every m = 1 .. N-1."""
+    k = 1
+    for m in range(1, level):
+        g = (Fraction(m * m, 2 * level) + Fraction(1, 4)) / 2
+        k = k * g.denominator // math.gcd(k, g.denominator)
+    return k

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import adefusion
 from adefusion import (
     NoPositiveHypergroupError,
     StructuralError,
@@ -18,11 +22,14 @@ from adefusion import (
     fusion_table_ascii,
     multiply,
 )
-from adefusion._ratlin import solve_many
 from adefusion.fusion import (
+    _P,
+    _construct_d,
     _cyclic_generators,
+    _dot_mod,
     _Fail,
     _forced_rows,
+    _int_matmul,
     _long_branch,
     _verify_ring,
     algebra_for,
@@ -33,6 +40,12 @@ from adefusion.golden import (
     E6_BLOCK_ORDER,
     E6_FUSION_CELLS,
     E6_N,
+)
+
+from _oracles import (
+    cyclic_generators_over_q,
+    fork_split_by_pinned_solve,
+    solve_many,
 )
 
 
@@ -221,6 +234,28 @@ def test_cyclic_generators():
         assert _cyclic_generators(alg.n) == want, alg.diagram.name
 
 
+def test_cyclic_generators_mod_p_match_rank_over_q():
+    graphs = (["A%d" % n for n in range(1, 41)]
+              + ["D%d" % n for n in range(4, 37, 2)] + ["E6", "E8"])
+    for graph in graphs:
+        n = algebra_for(graph).n
+        assert _cyclic_generators(n) == cyclic_generators_over_q(n), graph
+
+
+@given(st.data())
+def test_dot_mod_is_the_product_mod_p(data):
+    k = data.draw(st.integers(1, 40))
+    cols = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    top = data.draw(st.sampled_from([2, 2 ** 16, _P]))
+    lead = data.draw(st.sampled_from([(), (3,)]))     # a vector or rows
+    c = rng.integers(0, top, size=lead + (k,), dtype=np.int64)
+    m = rng.integers(0, top, size=(k, cols), dtype=np.int64)
+    c.flat[0], m[0, 0] = top - 1, top - 1
+    want = (c.astype(object) @ m.astype(object)) % _P
+    assert _dot_mod(c, m).tolist() == want.tolist()
+
+
 PERTURBED = [("A", 7), ("A", 12), ("D", 6), ("D", 8), ("D", 10), ("E", 6),
              ("E", 8)]
 
@@ -238,6 +273,32 @@ def test_perturbed_table_refused_as_by_the_old_loop(graph, data):
     except _Fail:
         accepted = False
     assert accepted == _ring_by_closure_loop(n)
+
+
+@given(st.sampled_from(PERTURBED), st.data())
+def test_perturbed_table_cyclic_generators_match_rank_over_q(graph, data):
+    # a perturbed table may need more generators, or other ones
+    alg = fusion_matrices(build_diagram(*graph))
+    a, b, c = (data.draw(st.integers(0, alg.rank - 1)) for _ in range(3))
+    n = alg.n.copy()
+    n[a, b, c] += data.draw(st.integers(1, 3))
+    assert _cyclic_generators(n) == cyclic_generators_over_q(n)
+
+
+@pytest.mark.parametrize("rank", list(range(4, 37, 2)) + [5, 7, 21, 41],
+                         ids="D{}".format)
+def test_fork_walk_matches_pinned_solve(rank):
+    d = build_diagram("D", rank)
+    try:
+        want = fork_split_by_pinned_solve(d)
+    except _Fail as exc:
+        with pytest.raises(_Fail) as err:
+            _construct_d(d)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    got = _construct_d(d)
+    assert len(got) == len(want) == rank
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def _fork_splits_by_search(alg):
@@ -348,3 +409,93 @@ def test_fusion_json_roundtrip():
     assert data["graph"] == "E6"
     assert data["labels"] == list(alg.diagram.vertex_labels)
     assert np.array_equal(np.array(data["matrices"]), alg.n)
+
+
+BOUND = 2 ** 53
+
+
+@st.composite
+def _factors(draw, entry_max):
+    """Integer arrays a, b with a @ b defined, 2-D or stacked on either
+    side, entries bounded by entry_max(k)."""
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    batch_a, batch_b = draw(st.sampled_from([((), ()), ((3,), ()), ((), (2,)),
+                                             ((4,), (4,))]))
+    top_a, top_b = entry_max(k, draw)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(-top_a, top_a + 1, size=batch_a + (m, k), dtype=np.int64)
+    b = rng.integers(-top_b, top_b + 1, size=batch_b + (k, n), dtype=np.int64)
+    # one entry of each at its extreme, so the bound is reached
+    a.flat[0], b.flat[-1] = top_a, -top_b
+    return a, b
+
+
+def _under_the_bound(k, draw):
+    top_a = draw(st.integers(0, 2 ** 30))
+    return top_a, (BOUND - 1) // (k * max(top_a, 1))
+
+
+def _between_the_bounds(k, draw):
+    # max|a|.max|b|.k lands in [2^53, 2^63), where float64 may round
+    top_a = draw(st.integers(2 ** 26, 2 ** 31))
+    return top_a, draw(st.integers(-(-BOUND // (k * top_a)),
+                                   (2 ** 63 - 1) // (k * top_a)))
+
+
+@given(_factors(_under_the_bound))
+def test_int_matmul_equals_int64_product_under_the_bound(ab):
+    a, b = ab
+    got = _int_matmul(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, a @ b)
+    # float64 operands, as _verify_ring passes them, give the same
+    assert np.array_equal(_int_matmul(a.astype(float), b.astype(float)), got)
+
+
+@given(_factors(_between_the_bounds))
+def test_int_matmul_takes_int64_past_the_bound(ab):
+    a, b = ab
+    want = a.astype(object) @ b.astype(object)
+    assert _int_matmul(a, b).tolist() == want.tolist()
+
+
+def test_int_matmul_route_just_past_the_bound():
+    # 2^27 + 1 times 2^26 + 1 is odd and past 2^53: float64 rounds it, so
+    # only the int64 route gives it exactly
+    a = np.array([[2 ** 27 + 1]])
+    b = np.array([[2 ** 26 + 1]])
+    exact = (2 ** 27 + 1) * (2 ** 26 + 1)
+    assert int((a.astype(float) @ b.astype(float))[0, 0]) != exact
+    assert int(_int_matmul(a, b)[0, 0]) == exact
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[2 ** 32]], [[2 ** 31]]),
+    ([[2 ** 31] * 4], [[2 ** 30]] * 4),
+    ([[-2 ** 62, 1]], [[2], [1]]),
+], ids=["entries", "inner-dimension", "negative"])
+def test_int_matmul_refuses_past_int64(a, b):
+    with pytest.raises(OverflowError, match="passes int64"):
+        _int_matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+
+
+def _child_says(code):
+    src = os.path.dirname(os.path.dirname(adefusion.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, timeout=120, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_closed_subsets_do_not_import_numpy_ma():
+    # np.union1d and np.unique import numpy.ma on their first call, about
+    # 15 ms in every fresh process
+    probe = "print('numpy.ma' in sys.modules)"
+    if _child_says("import sys, numpy; " + probe) != "False":
+        pytest.skip("a bare import numpy already loads numpy.ma")
+    assert _child_says(
+        "import sys; from adefusion import ambichiral_subalgebra, "
+        "quantum_symmetry_algebra; ambichiral_subalgebra('E6'); "
+        "quantum_symmetry_algebra('E8'); " + probe) == "False"

@@ -15,6 +15,7 @@ from adefusion import (
     verlinde_t,
 )
 from adefusion.fusion import algebra_for
+from adefusion.modular import _t_order
 from adefusion.golden import (
     E6_PARTITION_FUNCTION,
     E6_S51,
@@ -24,6 +25,8 @@ from adefusion.golden import (
     T_ORDER_12,
 )
 
+from _oracles import t_order_by_fractions
+
 
 def _element_index(qs, la, lb):
     d = qs.diagram
@@ -31,6 +34,11 @@ def _element_index(qs, la, lb):
     live = np.nonzero(v)[0]
     assert len(live) == 1 and v[live[0]] == 1, (la, lb)
     return int(live[0])
+
+
+def test_t_order_matches_phase_fractions():
+    for level in range(2, 400):
+        assert _t_order(level) == t_order_by_fractions(level), level
 
 
 def test_group_relations():

@@ -12,7 +12,7 @@ from adefusion import (
     s_matrices,
 )
 from adefusion import ocneanu
-from adefusion._ratlin import SparseRREF, solve_many
+from adefusion._ratlin import SparseRREF
 from adefusion.fusion import fusion_matrices
 from adefusion.ocneanu import QuantumSymmetries, cayley_dot, element_dims
 from adefusion.golden import (
@@ -31,6 +31,8 @@ from adefusion.golden import (
     E6_S51,
     E8_QS_DIM,
 )
+
+from _oracles import solve_many
 
 
 def _pos(d, label):

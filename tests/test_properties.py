@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adefusion import multiply_qs, quantum_symmetry_algebra
-from adefusion._ratlin import solve_many
 from adefusion.diagram import build_diagram, diagram_json, parse_graph_name
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import algebra_for, fusion_json
 from adefusion.modular import modular_json, toric_matrices
 from adefusion.ocneanu import ocneanu_json, s_matrices
+
+from _oracles import solve_many
 
 FUSION_GRAPHS = ("A7", "D4", "E6", "E8")
 QS_GRAPHS = ("A11", "E6", "E8")
