@@ -116,10 +116,14 @@ def _count_walk(diagram, length, origin):
 
 
 def path_counts(diagram, length, origin=0):
-    """Number of length-n edge paths from origin to each vertex, as an
-    int64 vector; OverflowError, not wrapping, past int64."""
+    """Number of length-n edge paths from origin (a vertex position) to
+    each vertex, as an int64 vector; OverflowError, not wrapping, past
+    int64."""
     if length < 0:
         raise ValueError("length must be nonnegative")
+    if not 0 <= origin < diagram.rank:
+        raise ValueError("origin %s is not a vertex position of %s (0 .. %d)"
+                         % (origin, diagram.name, diagram.rank - 1))
     for v in _count_walk(diagram, length, origin):
         pass
     return np.array(v, dtype=np.int64)

@@ -13,7 +13,8 @@ that pair walks y.G = N_f[f1] the same way, from two pinned coordinates.
 Everything is verified eagerly: entries nonnegative integers, unit and
 generator recovered, row 0 of N_a equal to e_a, symmetry, and commutation
 with the few N_s for which e_0 is a cyclic vector, found by a rank modulo
-the prime 2^31 - 1.  Pairwise commutativity follows from that
+the prime 2^31 - 1 (in _Span, the one exact span of the package, which
+ocneanu's greedy basis uses too).  Pairwise commutativity follows from that
 certificate, and closure of the structure constants from symmetry plus
 commutation (see _verify_ring).  Diagrams admitting no such structure
 (E7, D_odd) raise NoPositiveHypergroupError from the failed construction
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 _SPLIT_CAP = 500000
-_P = 2 ** 31 - 1            # the prime of _cyclic_generators' rank
+_P = 2 ** 31 - 1            # the prime of _Span
 
 
 class _Fail(Exception):
@@ -189,11 +190,50 @@ def _construct_d(d):
     return found[0]
 
 
-def _dot_mod(c, m):
-    """c @ m modulo _P (c a vector or a matrix), for entries in [0, _P)
-    and at most 2^15 rows of m: c is split into 16-bit halves, so that no
-    int64 sum overflows."""
-    return ((c & 0xFFFF) @ m + ((c >> 16) @ m % _P << 16)) % _P
+def _eliminate(v, row, p):
+    """v minus v[p] times row, modulo _P, in place; row[p] = 1, so v's
+    entry at p goes."""
+    coef = v[p]
+    for c, x in row.items():
+        y = (v.get(c, 0) - coef * x) % _P
+        if y:
+            v[c] = y
+        else:
+            v.pop(c, None)
+
+
+class _Span:
+    """A subspace of F_P^k, P = _P, grown one vector at a time.
+
+    Vectors are dicts {column: int}.  Each row is kept reduced: its pivot
+    entry is 1 and its other entries lie off every pivot column, so
+    residue() is a canonical representative modulo the span.  Entries
+    are Python ints, so no product can overflow.
+    """
+
+    def __init__(self):
+        self.rows = {}      # pivot column -> row
+
+    def residue(self, vec):
+        """vec modulo the span, without its zero entries."""
+        v = {c: x % _P for c, x in vec.items() if x % _P}
+        for p in [c for c in v if c in self.rows]:
+            _eliminate(v, self.rows[p], p)
+        return v
+
+    def insert(self, vec):
+        """Add vec to the span.  Returns True if the rank grew."""
+        row = self.residue(vec)
+        if not row:
+            return False
+        p = min(row)
+        inv = pow(row[p], -1, _P)
+        row = {c: x * inv % _P for c, x in row.items()}
+        for old in self.rows.values():
+            if p in old:
+                _eliminate(old, row, p)
+        self.rows[p] = row
+        return True
 
 
 def _cyclic_generators(n):
@@ -201,43 +241,42 @@ def _cyclic_generators(n):
     for the matrices N_s, starting from the generator 1.
 
     Closes span{e_0.w}, w a word in S, under right multiplication by every
-    N_s, modulo the prime _P; while the span falls short of F_P^r, adds
-    the first vertex a with e_a outside it (e_0.N_a = e_a, so this ends).
-    The span is kept as reduced echelon rows mod _P, in int64.
+    N_s, modulo the prime _P, in a _Span; while the span falls short of
+    F_P^r, adds the first vertex a with e_0.N_a outside it, so each vertex
+    added grows the span.  On a fusion table e_0.N_a = e_a, so there is
+    such a vertex until the span is full.
     """
     r = len(n)
-    gens = [1] if r > 1 else []
-    mods = [n[s] % _P for s in gens]
-    rows = np.zeros((r, r), dtype=np.int64)
-    piv = np.zeros(r, dtype=np.intp)
-    rank = 0
+    span = _Span()
+    gens, mats = [], {}         # mats[s]: N_s as one dict per row
 
-    def residue(v):
-        c = v[piv[:rank]]
-        return (v - _dot_mod(c, rows[:rank])) % _P if c.any() else v
+    def times(v, s):
+        out = {}
+        for j, x in v.items():
+            for c, y in mats[s][j].items():
+                out[c] = out.get(c, 0) + x * y
+        return out
 
-    eye = np.eye(r, dtype=np.int64)
-    todo = [eye[0]]
+    def add(s):
+        """Make s a generator; returns the span's rows times N_s."""
+        mats[s] = [{c: x for c, x in enumerate(row) if x}
+                   for row in n[s].tolist()]
+        gens.append(s)
+        return [times(v, s) for v in span.rows.values()]
+
+    if r > 1:
+        add(1)
+    todo = [{0: 1}]
     while True:
-        while todo and rank < r:
-            v = residue(todo.pop())
-            nz = np.flatnonzero(v)
-            if nz.size:
-                p = nz[0]
-                if v[p] != 1:
-                    v = v * pow(int(v[p]), -1, _P) % _P
-                col = rows[:rank, p]
-                if col.any():
-                    rows[:rank] = (rows[:rank] - np.outer(col, v)) % _P
-                rows[rank], piv[rank] = v, p
-                rank += 1
-                todo += [_dot_mod(v, m) for m in mods]
-        if rank == r:
+        while todo and len(span.rows) < r:
+            v = span.residue(todo.pop())
+            if v:
+                span.insert(v)
+                todo += [times(v, s) for s in gens]
+        if len(span.rows) == r:
             return tuple(gens)
-        a = next(a for a in range(r) if residue(eye[a]).any())
-        gens.append(a)
-        mods.append(n[a] % _P)
-        todo += list(_dot_mod(rows[:rank], mods[-1]))
+        todo = add(next(a for a in range(r)
+                        if span.residue(dict(enumerate(n[a, 0].tolist())))))
 
 
 def _verify_ring(d, mats):

@@ -15,8 +15,13 @@ image in the quotient.
 
 The canonical basis is still the greedy one: the first r^2/|J| pairs in
 position order that stay independent modulo the radical, i.e. whose rows
-of C are independent.  The normal forms solve nf . C[canonical] = C; they
-are found in floats, rounded and verified exactly in integers.
+of C are independent.  Independence is found modulo the prime 2^31 - 1
+(fusion._Span) and certified over Q.  The normal forms solve
+nf . C[canonical] = C; they are found in floats, rounded and verified
+exactly in integers, and no pair's normal form may use a canonical pair
+after it, which makes the basis the greedy one over Q.  The pairs a(x)0
+and 0(x)b have norm 1, so each of their rows of C is one simple object,
+and the two chiral spans meet where these sets of simple objects do.
 
 Elements are written a(x)b for vertex pairs; each canonical element is
 named after its lexicographically smallest label pair among equivalent
@@ -31,10 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._ratlin import SparseRREF
 from .diagram import _frozen, cache_per_diagram
 from .errors import StructuralError
-from .fusion import _int_matmul, ambichiral_subalgebra, fusion_matrices
+from .fusion import _int_matmul, _Span, ambichiral_subalgebra, fusion_matrices
 
 __all__ = [
     "QuantumSymmetries",
@@ -48,11 +52,6 @@ __all__ = [
     "decompose_right",
     "ocneanu_json",
 ]
-
-
-def _sparse(vec):
-    """An integer vector as a SparseRREF row."""
-    return {i: int(x) for i, x in enumerate(vec.tolist()) if x}
 
 
 class _ReadOnlyDict(dict):
@@ -115,14 +114,19 @@ class QuantumSymmetries:
         # a pair is independent of the earlier pairs in the quotient exactly
         # when its row of C is; C holds the identity at the simple objects,
         # so the greedy basis has dim pairs and its block of C is invertible
-        ech = SparseRREF(self.dim)
-        canonical = [p for p in range(r * r) if ech.rank < self.dim
-                     and ech.insert(_sparse(gram_c[p]))]
+        span = _Span()
+        canonical = [p for p, row in enumerate(gram_c.tolist())
+                     if len(span.rows) < self.dim
+                     and span.insert(dict(enumerate(row)))]
         self.canonical = tuple(divmod(p, r) for p in canonical)
         base = gram_c[canonical]
         nf = np.rint(np.linalg.solve(base.T, gram_c.T).T).astype(np.int64)
         if not np.array_equal(nf @ base, gram_c):
             raise StructuralError("normal forms do not verify exactly")
+        # each pair lies in the span of the canonical pairs up to it, over
+        # Q, so a pair skipped modulo P is dependent over Q as well
+        if nf[np.arange(r * r)[:, None] < canonical].any():
+            raise StructuralError("the canonical basis is not greedy over Q")
         nf = nf.reshape(r, r, self.dim)
         nf.setflags(write=False)
         self.nf = nf
@@ -136,6 +140,7 @@ class QuantumSymmetries:
 
         self._name_elements()
         self._partition_elements()
+        self._check_chiral_intersection(gram_c)
         self._pick_generators()
 
     def element(self, a, b):
@@ -187,22 +192,17 @@ class QuantumSymmetries:
         self.partition = _ReadOnlyDict((k, tuple(v)) for k, v in part.items())
         if len(self.partition["A"]) != len(self.ambichiral):
             raise StructuralError("ambichiral block has the wrong size")
-        self._check_chiral_intersection()
 
-    def _check_chiral_intersection(self):
+    def _check_chiral_intersection(self, gram_c):
         """span(left chiral) meets span(right chiral) exactly in the
-        ambichiral span."""
+        ambichiral span.  a(x)0 and 0(x)b have norm N_0[a,a] = 1, so with
+        Gram = C.C^T checked each of their rows of C is one simple object;
+        nf = C.C[canonical]^-1 keeps every span dimension, so the meet has
+        one dimension per simple object that both families use."""
         r = self.algebra.rank
-
-        def rank_of(vecs):
-            ech = SparseRREF(self.dim)
-            for v in vecs:
-                ech.insert(_sparse(v))
-            return ech.rank
-
-        left = [self.nf[a, 0] for a in range(r)]
-        right = [self.nf[0, b] for b in range(r)]
-        meet = rank_of(left) + rank_of(right) - rank_of(left + right)
+        left = set(gram_c[::r].argmax(axis=1).tolist())
+        right = set(gram_c[:r].argmax(axis=1).tolist())
+        meet = len(left & right)
         if meet != len(self.ambichiral):
             raise StructuralError(
                 "chiral subalgebras meet in dimension %d, expected %d"

@@ -62,9 +62,13 @@ DEFAULT_CAP = 8
 
 def enumerate_paths(diagram, length, origin=None, cap=DEFAULT_CAP):
     """All edge paths of the given length in lexicographic order, as
-    tuples of vertex positions (ascending neighbours keep that order)."""
+    tuples of vertex positions (ascending neighbours keep that order).
+    origin, if given, must be a vertex position."""
     if length < 0:
         raise ValueError("length must be nonnegative")
+    if origin is not None and not 0 <= origin < diagram.rank:
+        raise ValueError("origin %s is not a vertex position of %s (0 .. %d)"
+                         % (origin, diagram.name, diagram.rank - 1))
     if length > cap:
         raise LengthCapError(
             "length %d exceeds the cap %d (pass cap= to raise it)"

@@ -1,9 +1,10 @@
 """Reference implementations that the tests compare the package with.
 
 Each is the plain, slower way to compute a value that the package now
-computes another way: exact linear algebra over Fraction, and the
-constructions the package used before it kept to integers.  None of them
-is used by the package itself.
+computes another way: exact linear algebra over Fraction (SparseRREF, an
+incremental reduced echelon form, and solve_many), and the constructions
+the package used before it kept to integers.  None of them is used by
+the package itself.
 """
 
 import math
@@ -11,8 +12,72 @@ from fractions import Fraction
 
 import numpy as np
 
-from adefusion._ratlin import SparseRREF
 from adefusion.fusion import _Fail, _forced_rows, _long_branch, _verify_ring
+
+
+class SparseRREF:
+    """Reduced row echelon form over Q, built incrementally.
+
+    Rows are dicts {column: Fraction} with the pivot entry scaled to 1 and
+    every other pivot column eliminated, so a row's off-pivot support lies
+    entirely on free columns.  residue() is therefore a canonical
+    representative of a vector modulo the row span.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = {}     # pivot column -> row dict
+        self._by_col = {}  # column -> set of pivots whose rows touch it
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def residue(self, vec):
+        """Canonical representative of vec modulo the span (sparse dict)."""
+        v = {c: Fraction(x) for c, x in vec.items() if x}
+        for j in [c for c in v if c in self.rows]:
+            coef = v.pop(j, None)
+            if not coef:
+                continue
+            for c, x in self.rows[j].items():
+                if c == j:
+                    continue
+                y = v.get(c, 0) - coef * x
+                if y:
+                    v[c] = y
+                else:
+                    v.pop(c, None)
+        return v
+
+    def insert(self, vec):
+        """Add vec to the span.  Returns True if the rank grew."""
+        r = self.residue(vec)
+        if not r:
+            return False
+        p = min(r)
+        inv = 1 / r[p]
+        row = {c: x * inv for c, x in r.items()}
+        # eliminate the new pivot from every existing row touching it
+        for q in list(self._by_col.get(p, ())):
+            old = self.rows[q]
+            coef = old.pop(p)
+            self._by_col[p].discard(q)
+            for c, x in row.items():
+                if c == p:
+                    continue
+                y = old.get(c, 0) - coef * x
+                if y:
+                    if c not in old:
+                        self._by_col.setdefault(c, set()).add(q)
+                    old[c] = y
+                elif c in old:
+                    del old[c]
+                    self._by_col[c].discard(q)
+        self.rows[p] = row
+        for c in row:
+            self._by_col.setdefault(c, set()).add(p)
+        return True
 
 
 def solve_many(a, bs):
@@ -80,7 +145,8 @@ def cyclic_generators_over_q(n):
                 todo += [times(v, s) for s in gens]
         if span.rank == r:
             return tuple(gens)
-        a = next(a for a in range(r) if span.residue({a: 1}))
+        a = next(a for a in range(r)
+                 if span.residue(dict(enumerate(n[a, 0].tolist()))))
         gens.append(a)
         todo += [times(v, a) for v in span.rows.values()]
 

@@ -122,6 +122,12 @@ def test_path_counts_refuse_int64_overflow():
         path_counts(d, 69)
 
 
+def test_path_counts_refuse_an_origin_outside_the_diagram():
+    with pytest.raises(ValueError,
+                       match=r"origin 99 is not a vertex position of E6"):
+        path_counts(build_diagram("E", 6), 3, origin=99)
+
+
 def test_left_decomposition_table():
     ess = essential_matrices("E6")
     d = ess.diagram

@@ -23,14 +23,13 @@ from adefusion import (
     multiply,
 )
 from adefusion.fusion import (
-    _P,
     _construct_d,
     _cyclic_generators,
-    _dot_mod,
     _Fail,
     _forced_rows,
     _int_matmul,
     _long_branch,
+    _Span,
     _verify_ring,
     algebra_for,
 )
@@ -43,6 +42,7 @@ from adefusion.golden import (
 )
 
 from _oracles import (
+    SparseRREF,
     cyclic_generators_over_q,
     fork_split_by_pinned_solve,
     solve_many,
@@ -243,17 +243,25 @@ def test_cyclic_generators_mod_p_match_rank_over_q():
 
 
 @given(st.data())
-def test_dot_mod_is_the_product_mod_p(data):
-    k = data.draw(st.integers(1, 40))
-    cols = data.draw(st.integers(1, 5))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    top = data.draw(st.sampled_from([2, 2 ** 16, _P]))
-    lead = data.draw(st.sampled_from([(), (3,)]))     # a vector or rows
-    c = rng.integers(0, top, size=lead + (k,), dtype=np.int64)
-    m = rng.integers(0, top, size=(k, cols), dtype=np.int64)
-    c.flat[0], m[0, 0] = top - 1, top - 1
-    want = (c.astype(object) @ m.astype(object)) % _P
-    assert _dot_mod(c, m).tolist() == want.tolist()
+def test_span_accepts_what_the_rref_oracle_accepts(data):
+    # vectors of at most 6 entries, each a small combination of at most two
+    # base vectors with entries in [-3, 3], so every minor is below
+    # (12 . 6^(1/2))^6 < 2^31 - 1 and ranks modulo that prime are ranks
+    # over Q
+    cols = data.draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    base = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                              min_size=1, max_size=5))
+    picks = st.tuples(st.integers(-2, 2), st.sampled_from(base),
+                      st.integers(-2, 2), st.sampled_from(base))
+    vecs = [[a * x + b * y for x, y in zip(u, w)]
+            for a, u, b, w in data.draw(st.lists(picks, max_size=12))]
+    vecs = data.draw(st.permutations(base + vecs))
+    span, oracle = _Span(), SparseRREF(cols)
+    got = [span.insert(dict(enumerate(v))) for v in vecs]
+    assert got == [oracle.insert(dict(enumerate(v))) for v in vecs]
+    assert len(span.rows) == oracle.rank
+    assert sorted(span.rows) == sorted(oracle.rows)
 
 
 PERTURBED = [("A", 7), ("A", 12), ("D", 6), ("D", 8), ("D", 10), ("E", 6),

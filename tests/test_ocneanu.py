@@ -12,8 +12,7 @@ from adefusion import (
     s_matrices,
 )
 from adefusion import ocneanu
-from adefusion._ratlin import SparseRREF
-from adefusion.fusion import fusion_matrices
+from adefusion.fusion import _Span, fusion_matrices
 from adefusion.ocneanu import QuantumSymmetries, cayley_dot, element_dims
 from adefusion.golden import (
     A11_QS_DIM,
@@ -32,7 +31,7 @@ from adefusion.golden import (
     E8_QS_DIM,
 )
 
-from _oracles import solve_many
+from _oracles import SparseRREF, solve_many
 
 
 def _pos(d, label):
@@ -236,6 +235,46 @@ def test_refuses_normal_forms_that_do_not_verify(monkeypatch):
     with pytest.raises(StructuralError,
                        match="normal forms do not verify exactly"):
         QuantumSymmetries(fusion_matrices("E6"))
+
+
+def test_refuses_a_basis_that_is_not_greedy_over_q(monkeypatch):
+    # a span that skips the second independent row, as an unlucky prime
+    # could, picks a later pair; the skipped pair's normal form uses it
+    alg = fusion_matrices("E6")
+    insert, skipped = _Span.insert, []
+
+    def skip_second(span, vec):
+        if len(span.rows) == 1 and span.residue(vec) and not skipped:
+            skipped.append(vec)
+            return False
+        return insert(span, vec)
+
+    monkeypatch.setattr(_Span, "insert", skip_second)
+    with pytest.raises(StructuralError,
+                       match="the canonical basis is not greedy over Q"):
+        QuantumSymmetries(alg)
+    assert skipped
+
+
+def test_refuses_chiral_spans_that_meet_outside_the_ambichiral_span(
+        monkeypatch):
+    # E6's C, kept as the constructor hands it over, with one left chiral
+    # row moved onto a simple object that only the right chiral rows use
+    check, seen = QuantumSymmetries._check_chiral_intersection, []
+    monkeypatch.setattr(QuantumSymmetries, "_check_chiral_intersection",
+                        lambda qs, c: seen.append(c) or check(qs, c))
+    qs = QuantumSymmetries(fusion_matrices("E6"))
+    (c,) = seen
+    r = qs.algebra.rank
+    left, right = c[::r].argmax(axis=1), c[:r].argmax(axis=1)
+    a = next(a for a in range(r) if left[a] not in right)
+    t = next(t for t in right if t not in left)
+    c = c.copy()
+    c[a * r] = 0
+    c[a * r, t] = 1
+    with pytest.raises(StructuralError, match="chiral subalgebras meet in "
+                       "dimension 4, expected 3"):
+        check(qs, c)
 
 
 def test_element_lookup():

@@ -35,6 +35,17 @@ def test_enumerate_small():
     assert len(enumerate_paths(d, 1)) == 4
 
 
+@pytest.mark.parametrize("build", [
+    lambda d: enumerate_paths(d, 2, origin=-1),
+    lambda d: enumerate_paths(d, 0, origin=99),
+    lambda d: essential_dims(PathSpace(d, 2, origin=-1)),
+], ids=["negative", "length-0", "path-space"])
+def test_refuses_an_origin_outside_the_diagram(build):
+    with pytest.raises(ValueError,
+                       match=r"is not a vertex position of E6 \(0 \.\. 5\)"):
+        build(build_diagram("E", 6))
+
+
 def test_enumerate_counts_length7():
     d = build_diagram("E", 6)
     paths = enumerate_paths(d, 7, origin=0)
