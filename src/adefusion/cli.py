@@ -12,9 +12,14 @@ Commands
     verify-paper   re-check every frozen reference table; PASS/FAIL per item
 
 --format json prints one envelope {tool_version, command, graph, payload},
-encoded here once; the library's *_json helpers return payload dicts.  The
-envelope's bytes are exactly those of json.dumps(indent=2, sort_keys=True);
-runs of numbers and matrices of them come from the C encoder, re-indented.
+encoded here once.  The payload is the document of a library *_json
+helper's builder (helper.arrays), which holds the kept integer arrays
+themselves, not their tolist().  The envelope's bytes are exactly those of
+json.dumps(indent=2, sort_keys=True): an integer array is written from one
+string per (value, separator) pair, looked up by a code that numpy works
+out for each entry, and other runs of numbers come from the C encoder,
+re-indented.  Tables are written the same way, as a grid of fixed-width
+byte cells, one per distinct value.  No text is kept between calls.
 
 Exit status: 0 on success, 1 on a domain error (for instance a diagram
 with no positive fusion structure, or a graph with no frozen reference
@@ -37,8 +42,8 @@ from .diagram import parse_graph_name
 from .errors import AdeError, UnsupportedDiagramError
 from .essential import _count_walk, essential_json, essential_matrices
 from .fusion import algebra_for, fusion_json, fusion_table_ascii
-from .modular import (modular_invariance_check, modular_json, modular_rep,
-                      partition_function, toric_matrices)
+from .modular import (_toric_matrices, modular_invariance_check, modular_json,
+                      modular_rep, partition_function)
 from .ocneanu import (cayley_dot, element_dims, ocneanu_json,
                       quantum_symmetry_algebra)
 from .path_model import PathSpace, _check_tol
@@ -99,12 +104,23 @@ def _parse_element(parser, diagram, text):
 
 def _matrix_lines(m):
     """Rows of an int matrix, right-aligned to its widest entry, zeros as
-    dots."""
+    dots.  Each distinct value is formatted once, as a cell of width + 1
+    bytes, and the cells are gathered into one byte grid whose last byte
+    per row is a newline."""
     m = np.atleast_2d(np.asarray(m))
-    width = max(len("%d" % m.max()), len("%d" % m.min()))
-    dot = "%*s" % (width, ".")
-    return [" ".join(["%*d" % (width, v) if v else dot for v in row])
-            for row in m.tolist()]
+    lo, hi = int(m.min()), int(m.max())
+    if hi - lo <= m.size:
+        values, codes = range(lo, hi + 1), m - lo
+    else:
+        values, codes = np.unique(m, return_inverse=True)
+        values, codes = values.tolist(), codes.reshape(m.shape)
+    width = max(len("%d" % lo), len("%d" % hi))
+    cells = np.frombuffer(b"".join(
+        ("%*d " % (width, v) if v else "%*s " % (width, ".")).encode()
+        for v in values), dtype=np.uint8).reshape(len(values), width + 1)
+    grid = cells[codes]
+    grid[:, -1, -1] = ord("\n")
+    return grid.tobytes().decode().split("\n")[:-1]
 
 
 def _titled_matrix(title, m):
@@ -117,11 +133,14 @@ _ROWS = {list, tuple}
 
 def _encode(value, newline="\n"):
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, where
-    every dict key is a str (any other key is a TypeError).  A list of
-    scalars, or of nonempty scalar rows, is one call of the C encoder, which
-    json.dumps reaches only without indent, split at its separators: no
-    number, NaN, Infinity, true or null contains ", " or "], [".
+    every dict key is a str (any other key is a TypeError), and an ndarray
+    stands for its tolist().  A list of scalars, or of nonempty scalar rows,
+    is one call of the C encoder, which json.dumps reaches only without
+    indent, split at its separators: no number, NaN, Infinity, true or null
+    contains ", " or "], [".
     """
+    if isinstance(value, np.ndarray):
+        return _encode_array(value, newline)
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -150,6 +169,37 @@ def _encode(value, newline="\n"):
     return "[" + inner + ("," + inner).join(parts) + newline + "]"
 
 
+def _encode_array(a, newline):
+    """_encode of a signed int array with no empty axis whose range hi - lo
+    is at most its number of entries; any other array goes through
+    tolist().
+
+    Before each entry json.dumps writes one of ndim + 1 separators: kind k
+    closes and reopens the k innermost lists (the entry restarts its k
+    trailing axes), and kind ndim, at the first entry, only opens.  So the
+    text is one token, separator + value, per entry, and the tokens for
+    lo .. hi are built once for this call.
+    """
+    if a.dtype.kind != "i" or a.ndim == 0 or 0 in a.shape:
+        return _encode(a.tolist(), newline)
+    lo, hi = int(a.min()), int(a.max())
+    if hi - lo > a.size:
+        return _encode(a.tolist(), newline)
+    d = a.ndim
+    nl = [newline + "  " * j for j in range(d + 1)]
+    seps = ["".join(nl[j] + "]" for j in range(d - 1, d - 1 - k, -1))
+            + "," + nl[d - k]
+            + "".join("[" + nl[j] for j in range(d - k + 1, d + 1))
+            for k in range(d)]
+    seps.append("".join("[" + nl[j] for j in range(1, d + 1)))
+    lut = [sep + str(v) for v in range(lo, hi + 1) for sep in seps]
+    codes = (a.astype(np.int64, copy=False) - lo) * (d + 1)
+    for k in range(1, d + 1):
+        codes[(Ellipsis,) + (0,) * k] += 1
+    return ("".join(map(lut.__getitem__, codes.ravel().tolist()))
+            + "".join(nl[j] + "]" for j in range(d - 1, -1, -1)))
+
+
 def _wrap_json(args, graph_name, payload):
     return _encode({
         "tool_version": __version__,
@@ -165,21 +215,21 @@ def _wrap_json(args, graph_name, payload):
 def _cmd_fusion(args, parser, diagram):
     algebra = algebra_for(diagram)
     if args.format == "json":
-        return fusion_json(algebra)
+        return fusion_json.arrays(algebra)
     return fusion_table_ascii(algebra)
 
 
 def _cmd_essential(args, parser, diagram):
     ess = essential_matrices(algebra_for(diagram))
     if args.format == "json":
-        return essential_json(ess)
+        return essential_json.arrays(ess)
     return "\n\n".join(_titled_matrix("E_%s" % label, e)
                        for label, e in zip(diagram.vertex_labels, ess.e))
 
 
 def _paths_over_budget(diagram, length, origin):
     """Why paths of this length are over budget, or None; counted by one
-    path-count walk per origin."""
+    path-count walk over every origin at once."""
     if length - 1 > BLOCK_ROWS_BUDGET:
         # each C_k contributes at least one row to every nonempty block, and
         # the count below takes one step per unit of length, on every graph
@@ -188,19 +238,20 @@ def _paths_over_budget(diagram, length, origin):
                 % (BLOCK_ROWS_BUDGET + 1, BLOCK_ROWS_BUDGET))
     origins = range(diagram.rank) if origin is None else (origin,)
     try:
-        # the counts at lengths length - 2 .. length, for each origin
-        walks = [collections.deque(_count_walk(diagram, length, a), maxlen=3)
-                 for a in origins]
+        # the counts at lengths length - 2 .. length, a row per origin
+        walk = collections.deque(_count_walk(diagram, length, origins),
+                                 maxlen=3)
     except OverflowError:
         return "more than 2**63 - 1 paths, over the budget of %d paths" \
             % PATHS_BUDGET
-    total = sum(sum(walk[-1]) for walk in walks)
+    # summed in Python ints: the counts fit int64, their total need not
+    total = sum(map(sum, walk[-1].tolist()))
     if total > PATHS_BUDGET:
         return "%d paths, over the budget of %d paths" % (total,
                                                           PATHS_BUDGET)
     if length < 2:
         return None
-    rows = (length - 1) * max(max(walk[0]) for walk in walks)
+    rows = (length - 1) * int(walk[0].max())
     if rows > BLOCK_ROWS_BUDGET:
         return ("%d constraint rows in one (origin, end) block, over the "
                 "budget of %d rows" % (rows, BLOCK_ROWS_BUDGET))
@@ -226,7 +277,7 @@ def _cmd_paths(args, parser, diagram):
     space = PathSpace(diagram, args.length, origin=origin,
                       cap=max(args.length, 8))
     if args.format == "json":
-        return spanning_json(space, args.tol)
+        return spanning_json.arrays(space, args.tol)
     dims = path_essential_dims(space, args.tol)
     head = "%d paths of length %d; essential dimensions by (origin, end):" \
         % (len(space.paths), args.length)
@@ -238,7 +289,7 @@ def _cmd_ocneanu(args, parser, diagram):
     if args.format == "dot":
         return cayley_dot(qs)
     if args.format == "json":
-        return ocneanu_json(qs)
+        return ocneanu_json.arrays(qs)
     dims = element_dims(qs)
     lines = ["dimension %d" % qs.dim]
     for k in ("A", "L", "R", "C"):
@@ -250,7 +301,7 @@ def _cmd_ocneanu(args, parser, diagram):
 
 def _cmd_toric(args, parser, diagram):
     qs = quantum_symmetry_algebra(diagram.name)
-    mats = toric_matrices(diagram.name)
+    mats = _toric_matrices(diagram)
     if args.element is not None:
         x = qs.element(*_parse_element(parser, diagram, args.element))
         if x is None:
@@ -262,7 +313,7 @@ def _cmd_toric(args, parser, diagram):
     if args.format == "json":
         return {
             "names": [qs.element_names[x] for x in picked],
-            "matrices": [mats[x].tolist() for x in picked],
+            "matrices": mats[picked],
         }
     blocks = [_titled_matrix("W(%s)" % qs.element_names[x], mats[x])
               for x in picked]
@@ -271,7 +322,7 @@ def _cmd_toric(args, parser, diagram):
 
 def _cmd_modular_check(args, parser, diagram):
     if args.format == "json":
-        return modular_json(diagram.name, tol=args.tol)
+        return modular_json.arrays(diagram.name, tol=args.tol)
     rep = modular_rep(diagram)
     res = modular_invariance_check(diagram.name, tol=args.tol)
     dev = rep.relation_deviations()

@@ -157,10 +157,10 @@ def cache_per_diagram(fn):
       diagram     _perron_frobenius: the PF vector, per (tol, max_iter)
       fusion      fusion_matrices; ambichiral_subalgebra
       ocneanu     quantum_symmetry_algebra; _generator_matrices;
-                  _s_matrices, and _s_stack, their one stacked array,
-                  which decompose_right reads
+                  _s_matrices, one stacked array, which decompose_right
+                  and ocneanu_json read
       modular     modular_rep: S, T and the order of T at the Coxeter
-                  number; _toric_matrices
+                  number; _toric_matrices, one stacked array
       path_model  _kernel_chain: the prefix kernels, per tol;
                   _subspace_bases: essential_subspace's bases, per
                   (length, origin, tol)
@@ -181,6 +181,31 @@ def cache_per_diagram(fn):
     wrapper.cache_clear = cached.cache_clear
     wrapper.cache_info = cached.cache_info
     return wrapper
+
+
+def json_document(builder):
+    """Make builder(...), whose document holds the kept read-only arrays,
+    a helper that returns the same document in plain Python values: every
+    ndarray, in any dict or list of it, becomes its tolist().
+
+    The builder stays reachable as ``helper.arrays``, so a writer that
+    encodes arrays itself (the CLI) reads them without the copy.
+    """
+    @functools.wraps(builder)
+    def helper(*args, **kwargs):
+        return _plain(builder(*args, **kwargs))
+    helper.arrays = builder
+    return helper
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
 
 
 def graph_norm(d):
@@ -275,12 +300,13 @@ def ascii_diagram(d):
     return "%s%s\n%s|\n%s" % (pad, labels[d.rank - 1], pad, line)
 
 
+@json_document
 def diagram_json(d):
     """The diagram as a dict of JSON values."""
     return {
         "family": d.family.value,
         "rank": d.rank,
         "labels": list(d.vertex_labels),
-        "adjacency": d.adjacency.tolist(),
+        "adjacency": d.adjacency,
         "coxeter_number": d.coxeter_number,
     }

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagram import Family, build_diagram
+from .diagram import Family, build_diagram, json_document
 from .errors import StructuralError
 from .fusion import (_int_matmul, algebra_for, ambichiral_subalgebra,
                      fusion_matrices)
@@ -99,19 +99,31 @@ def intertwiner_check(ess):
     return np.array_equal(partner.adjacency @ e0, e0 @ ess.diagram.adjacency)
 
 
-def _count_walk(diagram, length, origin):
-    """Path counts from origin to each vertex at lengths 0 .. length, as
-    lists of Python ints; OverflowError once a count passes int64."""
+def _count_walk(diagram, length, origins):
+    """Path counts at lengths 0 .. length, one int64 array each, with a row
+    per origin and a column per end vertex; OverflowError once a count
+    passes int64.
+
+    A count is the sum of at most deg of the previous counts, deg the
+    largest vertex degree, so a step runs in int64 while every count is at
+    most limit // deg, and in Python ints (object arrays) otherwise.
+    """
     limit = int(np.iinfo(np.int64).max)
-    nbrs = [diagram.neighbors(b) for b in range(diagram.rank)]
-    v = [int(b == origin) for b in range(diagram.rank)]
+    g = diagram.adjacency
+    safe = limit // max(int(g.sum(axis=0).max()), 1)
+    v = np.eye(diagram.rank, dtype=np.int64)[list(origins)]
     yield v
     for n in range(1, length + 1):
-        v = [sum(v[w] for w in ws) for ws in nbrs]
-        if max(v) > limit:
-            raise OverflowError(
-                "%s has more than %d paths of length %d from vertex %d"
-                % (diagram.name, limit, n, origin))
+        if v.max() <= safe:
+            v = v @ g
+        else:
+            exact = v.astype(object) @ g.astype(object)
+            over = np.flatnonzero(exact.max(axis=1) > limit)
+            if over.size:
+                raise OverflowError(
+                    "%s has more than %d paths of length %d from vertex %d"
+                    % (diagram.name, limit, n, origins[over[0]]))
+            v = exact.astype(np.int64)
         yield v
 
 
@@ -124,9 +136,9 @@ def path_counts(diagram, length, origin=0):
     if not 0 <= origin < diagram.rank:
         raise ValueError("origin %s is not a vertex position of %s (0 .. %d)"
                          % (origin, diagram.name, diagram.rank - 1))
-    for v in _count_walk(diagram, length, origin):
+    for v in _count_walk(diagram, length, (origin,)):
         pass
-    return np.array(v, dtype=np.int64)
+    return v[0]
 
 
 def esspath_dims(ess):
@@ -165,6 +177,7 @@ def reduced_essential(ess):
     return out
 
 
+@json_document
 def essential_json(ess):
     """The essential matrices as a dict of JSON values."""
     d = ess.diagram
@@ -172,5 +185,5 @@ def essential_json(ess):
         "graph": d.name,
         "labels": list(d.vertex_labels),
         "rows": int(ess.nrows),
-        "matrices": ess.e.tolist(),
+        "matrices": ess.e,
     }

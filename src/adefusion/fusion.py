@@ -18,7 +18,7 @@ ocneanu's greedy basis uses too).  Pairwise commutativity follows from that
 certificate, and closure of the structure constants from symmetry plus
 commutation (see _verify_ring).  Diagrams admitting no such structure
 (E7, D_odd) raise NoPositiveHypergroupError from the failed construction
-itself.  All of it is integer arithmetic (large products: _int_matmul).
+itself.  All of it is integer arithmetic (large products: _exact_dtype).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .diagram import Family, cache_per_diagram
+from .diagram import Family, cache_per_diagram, json_document
 from .errors import NoPositiveHypergroupError, NotDefinedError, StructuralError
 
 __all__ = [
@@ -71,23 +71,34 @@ class FusionAlgebra:
 
 def _int_matmul(a, b):
     """a @ b for arrays of integers (int64, or float64 holding integers),
-    2-D or stacked, exactly, as int64.
+    2-D or stacked, exactly, as int64; it runs in _exact_dtype."""
+    dtype = _exact_dtype((a, b))
+    return (a.astype(dtype, copy=False)
+            @ b.astype(dtype, copy=False)).astype(np.int64, copy=False)
+
+
+def _exact_dtype(*pairs):
+    """The dtype in which a @ b is exact for each pair (a, b) of arrays of
+    integers.
 
     When max|a| . max|b| . k < 2^53, k the inner dimension, every term and
     partial sum is an integer that float64 holds exactly, so the product
     runs on float64 BLAS (the FFLAS-FFPACK technique, Dumas-Giorgi-Pernet
-    2008).  Above that bound it runs in int64, and OverflowError refuses
-    a product whose sums could pass int64.
+    2008), and two such products compare as the integers do.  Above that
+    bound it is int64, and OverflowError refuses a product whose sums
+    could pass int64.
     """
-    bound = a.shape[-1]
-    for x in (a, b):
-        bound *= max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    bound = 0
+    for a, b in pairs:
+        k = a.shape[-1]
+        for x in (a, b):
+            k *= max(int(x.max(initial=0)), -int(x.min(initial=0)))
+        bound = max(bound, k)
     if bound < 2 ** 53:
-        return (a.astype(np.float64, copy=False)
-                @ b.astype(np.float64, copy=False)).astype(np.int64)
+        return np.float64
     if bound > np.iinfo(np.int64).max:
         raise OverflowError("integer product bound %d passes int64" % bound)
-    return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return np.int64
 
 
 def _long_branch(g, k):
@@ -322,10 +333,11 @@ def _verify_ring(d, mats):
     if not np.array_equal(n, n.transpose(1, 0, 2)):
         raise _Fail("structure constants are not symmetric")
     gens = _cyclic_generators(n)
-    n = n.astype(np.float64)        # once, and the int64 copy goes
+    # n @ n[s] is exact wherever n @ n is, and float64 products are
+    # compared as they are, with no int64 copy
+    n = n.astype(_exact_dtype((n, n)))
     for s in gens:
-        bad = np.flatnonzero(np.any(
-            _int_matmul(n, n[s]) != _int_matmul(n[s], n), axis=(1, 2)))
+        bad = np.flatnonzero(np.any(n @ n[s] != n[s] @ n, axis=(1, 2)))
         if bad.size:
             raise _Fail("matrices %d and %d do not commute" % (bad[0], s))
 
@@ -433,11 +445,12 @@ def fusion_table_ascii(algebra):
     d = algebra.diagram
     order = _block_order(algebra)
     labels = d.vertex_labels
+    counts = algebra.n[:, :, order].tolist()
 
     def cell(a, b):
         terms = []
-        for c in order:
-            terms.extend([labels[c]] * int(algebra.n[a, b, c]))
+        for c, k in zip(order, counts[a][b]):
+            terms.extend([labels[c]] * k)
         return " ".join(terms) if terms else "."
 
     grid = [[""] + [labels[b] for b in order]]
@@ -452,13 +465,14 @@ def fusion_table_ascii(algebra):
     return "\n".join(lines)
 
 
+@json_document
 def fusion_json(algebra):
     """The fusion matrices as a dict of JSON values."""
     d = algebra.diagram
     return {
         "graph": d.name,
         "labels": list(d.vertex_labels),
-        "matrices": algebra.n.tolist(),
+        "matrices": algebra.n,
     }
 
 

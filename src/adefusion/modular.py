@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .diagram import cache_per_diagram
+from .diagram import cache_per_diagram, json_document
 from .essential import essential_matrices, reduced_essential
 from .ocneanu import quantum_symmetry_algebra
 
@@ -181,6 +181,7 @@ def partition_function(graph):
     return "+".join(parts)
 
 
+@json_document
 def modular_json(graph, tol=1e-9):
     """Toric matrices, invariant and invariance check (at tol) as a dict
     of JSON values."""
@@ -190,7 +191,7 @@ def modular_json(graph, tol=1e-9):
         "level": qs.diagram.coxeter_number,
         "t_order": modular_rep(graph).t_order,
         "names": list(qs.element_names),
-        "toric": [m.tolist() for m in _toric_matrices(graph)],
+        "toric": _toric_matrices(graph),
         "partition_function": partition_function(graph),
         "invariance": modular_invariance_check(graph, tol=tol),
     }

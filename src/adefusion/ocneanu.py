@@ -26,8 +26,8 @@ and the two chiral spans meet where these sets of simple objects do.
 Elements are written a(x)b for vertex pairs; each canonical element is
 named after its lexicographically smallest label pair among equivalent
 single-pair representatives; QuantumSymmetries.element(a, b) looks up the
-element a pair equals on its own, and per_element builds one matrix per
-element from those pairs.  Left and right chiral generators are the
+element a pair equals on its own, and per_element stacks one matrix per
+element, built from those pairs.  Left and right chiral generators are the
 images of 1(x)0 and 0(x)1, and multiplying the basis by them gives the
 two edge families of the Cayley graph.
 """
@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagram import _frozen, cache_per_diagram
+from .diagram import _frozen, cache_per_diagram, json_document
 from .errors import StructuralError
-from .fusion import _int_matmul, _Span, ambichiral_subalgebra, fusion_matrices
+from .fusion import _exact_dtype, _Span, ambichiral_subalgebra, fusion_matrices
 
 __all__ = [
     "QuantumSymmetries",
@@ -98,15 +98,19 @@ class QuantumSymmetries:
                 % (len(simples), self.dim))
         gram_c = np.stack(cols, axis=1)
 
-        # Gram = C.C^T, one row block a(x)- at a time in O(r^3) memory; the
-        # large operands go to float64 once, for _int_matmul
-        flat = nj.reshape(len(nj), r * r).astype(np.float64)
-        gram_ct = gram_c.T.astype(np.float64)
+        # Gram = C.C^T, one row block a(x)- at a time in O(r^3) memory: the
+        # operands go once to a dtype that makes every block's products
+        # exact, and the products go to two kept buffers, as fresh pages
+        # for each block would cost more than the products
+        flat = nj.reshape(len(nj), r * r)
+        dtype = _exact_dtype((flat.T, flat), (gram_c, gram_c.T))
+        flat, c = flat.astype(dtype), gram_c.astype(dtype)
+        block, rows = np.empty((2, r, r * r), dtype)
         for a in range(r):
-            block = _int_matmul(nj[:, a, :].T, flat).reshape(r, r, r)
-            block = block.transpose(1, 0, 2).reshape(r, r * r)
-            rows = _int_matmul(gram_c[a * r:(a + 1) * r], gram_ct)
-            if not np.array_equal(block, rows):
+            np.matmul(flat[:, a * r:(a + 1) * r].T, flat, out=block)
+            np.matmul(c[a * r:(a + 1) * r], c.T, out=rows)
+            if not np.array_equal(block.reshape(r, r, r),
+                                  rows.reshape(r, r, r).transpose(1, 0, 2)):
                 raise StructuralError(
                     "inner products of %d(x)b are not sums of simple "
                     "objects" % a)
@@ -149,17 +153,17 @@ class QuantumSymmetries:
         return None if x < 0 else x
 
     def per_element(self, matrix, what):
-        """matrix(a, b) for each canonical element, read-only; it must be
-        the same over all of the element's single-pair forms."""
+        """matrix(a, b) for each canonical element, stacked in one
+        read-only array; it must be the same over all of the element's
+        single-pair forms."""
         mats = []
         for x, pairs in enumerate(self.single_pairs):
             first, *rest = (matrix(a, b) for a, b in pairs)
             if any(not np.array_equal(first, m) for m in rest):
                 raise StructuralError(
                     "%s of element %d depends on the pair" % (what, x))
-            first.setflags(write=False)
             mats.append(first)
-        return tuple(mats)
+        return _frozen(np.stack(mats))
 
     # -- naming and partition ------------------------------------------
 
@@ -283,18 +287,13 @@ def _s_matrices(diagram):
 
 def element_dims(qs):
     """Total entry sum of each element's matrix."""
-    return np.array([int(m.sum()) for m in _s_matrices(qs)], dtype=np.int64)
-
-
-@cache_per_diagram
-def _s_stack(diagram):
-    return _frozen(np.stack(_s_matrices(diagram)))
+    return _s_matrices(qs).sum(axis=(1, 2))
 
 
 def decompose_right(ess, a, b):
     """Coefficients of E_a^T . E_b over the quantum symmetry matrices.
     The reconstruction is checked exactly."""
-    smats = _s_stack(ess)
+    smats = _s_matrices(ess)
     coeffs = smats[:, a, b].copy()
     target = ess.e[a].T @ ess.e[b]
     rebuilt = np.tensordot(coeffs, smats, axes=(0, 0))
@@ -340,6 +339,7 @@ def cayley_dot(qs):
     return "\n".join(lines)
 
 
+@json_document
 def ocneanu_json(qs):
     """The quantum symmetry algebra as a dict of JSON values."""
     return {
@@ -349,6 +349,6 @@ def ocneanu_json(qs):
         "names": list(qs.element_names),
         "partition": {k: list(v) for k, v in qs.partition.items()},
         "generators": {"left": qs.generator_left, "right": qs.generator_right},
-        "normal_forms": qs.nf.tolist(),
-        "matrices": [m.tolist() for m in _s_matrices(qs)],
+        "normal_forms": qs.nf,
+        "matrices": _s_matrices(qs),
     }

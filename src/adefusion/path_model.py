@@ -41,7 +41,8 @@ import threading
 
 import numpy as np
 
-from .diagram import cache_per_diagram, graph_norm, perron_frobenius
+from .diagram import (cache_per_diagram, graph_norm, json_document,
+                      perron_frobenius)
 from .errors import LengthCapError
 
 __all__ = [
@@ -324,6 +325,7 @@ def essential_dims(space, tol=1e-9):
     return dims
 
 
+@json_document
 def spanning_json(space, tol=1e-9):
     """The essential bases by (origin, end) block as a dict of JSON values."""
     bases = essential_subspace(space, tol)
@@ -335,7 +337,7 @@ def spanning_json(space, tol=1e-9):
             "end": b,
             "dim": int(basis.shape[0]),
             "paths": [list(p) for p in paths[a, b]],
-            "basis": basis.tolist(),
+            "basis": basis,
         })
     return {
         "graph": space.diagram.name,

@@ -27,8 +27,13 @@ KEPT = {
     "ambichiral_subalgebra": (lambda: ambichiral_subalgebra(algebra_for("E6")),
                               fusion.ambichiral_subalgebra,
                               lambda sub: [sub], lambda sub: []),
-    "decompose_right": (lambda: ocneanu._s_stack("E6"), ocneanu._s_stack,
+    "decompose_right": (lambda: ocneanu._s_matrices("E6"),
+                        ocneanu._s_matrices,
                         lambda stack: [stack], lambda stack: [stack]),
+    # the one stack that toric --format json and modular_json read
+    "toric_matrices": (lambda: modular._toric_matrices("E6"),
+                       modular._toric_matrices,
+                       lambda stack: [stack], lambda stack: [stack]),
     # a new dict on each call, over the kept bases
     "essential_subspace": (_e6_bases, path_model._subspace_bases,
                            lambda bases: list(bases.values()),

@@ -5,16 +5,19 @@ import subprocess
 import sys
 import time
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import adefusion
-from adefusion import path_model
+from adefusion import cli, path_model
 from adefusion.cli import (BLOCK_ROWS_BUDGET, PATHS_BUDGET, _encode,
                            _matrix_lines, main)
-from adefusion.diagram import parse_graph_name, perron_frobenius
+from adefusion.diagram import diagram_json, parse_graph_name, perron_frobenius
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import algebra_for, fusion_json
 from adefusion.modular import modular_json, toric_matrices
@@ -85,6 +88,52 @@ def test_json_payload_is_library_document(capsys, command, graph):
                       + "\n")
 
 
+# every public *_json helper, with its builder reachable as helper.arrays
+JSON_HELPERS = {
+    "diagram_json": (diagram_json, lambda g: (parse_graph_name(g),)),
+    "fusion_json": (fusion_json, lambda g: (algebra_for(g),)),
+    "essential_json": (essential_json, lambda g: (essential_matrices(g),)),
+    "spanning_json": (spanning_json,
+                      lambda g: (PathSpace(parse_graph_name(g), 4),)),
+    "ocneanu_json": (ocneanu_json, lambda g: (quantum_symmetry_algebra(g),)),
+    "modular_json": (modular_json, lambda g: (g,)),
+}
+
+
+def _tolist_everywhere(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _tolist_everywhere(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_tolist_everywhere(v) for v in value)
+    return value
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("graph", ["E6", "E8", "A11"])
+@pytest.mark.parametrize("name", sorted(JSON_HELPERS))
+def test_json_helpers_return_plain_values_of_their_builders(name, graph):
+    helper, args = JSON_HELPERS[name]
+    plain = helper(*args(graph))
+    assert not any(isinstance(v, np.generic) or isinstance(v, np.ndarray)
+                   for v in _leaves(plain))
+    document = helper.arrays(*args(graph))
+    arrays = [v for v in _leaves(document) if isinstance(v, np.ndarray)]
+    # the builder hands out the kept arrays, which nobody may change
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert plain == _tolist_everywhere(document)
+
+
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -120,6 +169,54 @@ def test_encode_edge_cases(value):
 def test_encode_refuses_non_str_keys(value):
     with pytest.raises(TypeError):
         _encode(value)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def _arrays(draw):
+    """int64 arrays of 1-4 dimensions (an axis may be empty) over a small,
+    a negative, a wide or an extreme range; bool and float arrays too."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
+                                  max_side=4))
+    dtype = draw(st.sampled_from([np.int64] * 4 + [np.bool_, np.float64]))
+    if dtype is np.int64:
+        elements = draw(st.sampled_from([
+            st.integers(0, 3), st.integers(-40, -30), st.integers(-2, 9),
+            st.integers(-10 ** 6, 10 ** 6),
+            st.sampled_from([INT64.min, INT64.min + 1, INT64.max, 0])]))
+    else:
+        elements = None
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@given(_arrays(), st.sampled_from(["\n", "\n    "]))
+def test_encode_array_matches_stdlib(a, newline):
+    want = json.dumps(a.tolist(), indent=2, sort_keys=True)
+    assert _encode(a) == want
+    # at depth, inside a document, as the CLI meets the kept arrays
+    assert _encode({"payload": {"m": a}}) == json.dumps(
+        {"payload": {"m": a.tolist()}}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("a, fallback", [
+    (np.array([[0, 1], [1, 0]]), False),
+    (np.array([[[-3, -2], [-2, -1]]]), False),
+    (np.array([0, 2]), False),                        # hi - lo = 2 entries
+    (np.array([0, 3]), True),                         # hi - lo = 3 > 2
+    (np.array([INT64.min, INT64.max]), True),
+    (np.array([[1, 2]] * 3).astype(np.float64), True),
+    (np.array([True, False]), True),
+    (np.zeros((2, 0), dtype=np.int64), True),
+])
+def test_encode_array_takes_tolist_where_tokens_do_not_pay(a, fallback):
+    # the tokens cover lo .. hi, so they are built only when hi - lo is at
+    # most the number of entries; any other array goes as tolist()
+    with mock.patch.object(cli, "_encode", wraps=cli._encode) as spy:
+        text = cli._encode_array(a, "\n")
+    assert text == json.dumps(a.tolist(), indent=2, sort_keys=True)
+    assert spy.called == fallback
 
 
 def _cell_rule_lines(m):

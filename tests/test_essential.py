@@ -14,7 +14,8 @@ from adefusion import (
     quantum_symmetry_algebra,
     reduced_essential,
 )
-from adefusion.essential import recurrence_rows
+from adefusion.diagram import parse_graph_name
+from adefusion.essential import _count_walk, recurrence_rows
 from adefusion.fusion import algebra_for
 from adefusion.golden import (
     A11_DIMS,
@@ -120,6 +121,27 @@ def test_path_counts_refuse_int64_overflow():
     assert v.tolist() == want.tolist()
     with pytest.raises(OverflowError):
         path_counts(d, 69)
+
+
+@pytest.mark.parametrize("graph", ["A1", "A2", "A3", "D6", "E8"])
+def test_count_walk_matches_exact_counts_until_int64_overflow(graph):
+    # the walk steps in int64 while no count can pass int64 and in Python
+    # ints after that; the exact counts come from object-dtype products
+    d = parse_graph_name(graph)
+    exact = np.eye(d.rank, dtype=object)
+    walk = _count_walk(d, 200, range(d.rank))
+    for n in range(201):
+        if n:
+            exact = exact @ d.adjacency.astype(object)
+        if exact.max() > np.iinfo(np.int64).max:
+            with pytest.raises(OverflowError,
+                               match="paths of length %d from vertex" % n):
+                next(walk)
+            return
+        v = next(walk)
+        assert v.dtype == np.int64 and v.tolist() == exact.tolist(), n
+    # only A1 and A2 have no count that grows without bound
+    assert graph in ("A1", "A2")
 
 
 def test_path_counts_refuse_an_origin_outside_the_diagram():

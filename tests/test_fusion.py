@@ -25,6 +25,7 @@ from adefusion import (
 from adefusion.fusion import (
     _construct_d,
     _cyclic_generators,
+    _exact_dtype,
     _Fail,
     _forced_rows,
     _int_matmul,
@@ -485,6 +486,24 @@ def test_int_matmul_route_just_past_the_bound():
 def test_int_matmul_refuses_past_int64(a, b):
     with pytest.raises(OverflowError, match="passes int64"):
         _int_matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+
+
+@pytest.mark.parametrize("a, b, dtype", [
+    ([[2 ** 26]], [[2 ** 26]], np.float64),           # 2^52
+    ([[2 ** 27 + 1]], [[2 ** 26 + 1]], np.int64),     # just past 2^53
+    ([[1] * 4], [[2 ** 51]] * 4, np.int64),           # 4 . 2^51 = 2^53
+    ([[-1] * 4], [[2 ** 50]] * 4, np.float64),        # 4 . 2^50 = 2^52
+])
+def test_exact_dtype_is_float64_only_under_the_bound(a, b, dtype):
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    small = np.eye(2, dtype=np.int64)
+    assert _exact_dtype((a, b)) is dtype
+    # the largest bound over the pairs decides, in either order
+    assert _exact_dtype((small, small), (a, b)) is dtype
+    assert _exact_dtype((a, b), (small, small)) is dtype
+    exact = (a.astype(object) @ b.astype(object)).tolist()
+    assert (a.astype(dtype) @ b.astype(dtype)).astype(object).tolist() \
+        == exact
 
 
 def _child_says(code):

@@ -125,9 +125,9 @@ def test_paths_budget_one_walk_per_origin(monkeypatch, graph):
     walks = []
     real = cli._count_walk
 
-    def counted(diagram, length, origin):
-        walks.append(origin)
-        return real(diagram, length, origin)
+    def counted(diagram, length, origins):
+        walks.append(list(origins))
+        return real(diagram, length, origins)
 
     monkeypatch.setattr(cli, "_count_walk", counted)
     for length in list(range(0, 40)) + [200, 4001, 4002]:
@@ -139,6 +139,6 @@ def test_paths_budget_one_walk_per_origin(monkeypatch, graph):
             if want is not None:
                 assert got.startswith(want), (length, origin, got)
             if want is None or not want.startswith(("length", "more")):
-                # each origin walked once, not again for length - 2
-                assert walks == (list(range(d.rank)) if origin is None
-                                 else [origin])
+                # one walk takes each origin once, not again for length - 2
+                assert walks == [list(range(d.rank)) if origin is None
+                                 else [origin]]
