@@ -344,17 +344,17 @@ def _cmd_verify(args, parser, diagram):
 
 # -- entry point ---------------------------------------------------------
 
-# The one list of commands.  Each is called as fn(args, parser, diagram) and
-# returns a payload dict, which main wraps in the envelope and encodes, or
-# text; verify-paper returns its text together with the exit status.
+# The one list of commands, each with the formats it takes, called as
+# fn(args, parser, diagram): a payload dict, which main wraps in the
+# envelope and encodes, or text; verify-paper adds its exit status.
 COMMANDS = {
-    "fusion": _cmd_fusion,
-    "essential": _cmd_essential,
-    "paths": _cmd_paths,
-    "ocneanu": _cmd_ocneanu,
-    "toric": _cmd_toric,
-    "modular-check": _cmd_modular_check,
-    "verify-paper": _cmd_verify,
+    "fusion": (_cmd_fusion, ("json", "table")),
+    "essential": (_cmd_essential, ("json", "table")),
+    "paths": (_cmd_paths, ("json", "table")),
+    "ocneanu": (_cmd_ocneanu, ("json", "dot", "table")),
+    "toric": (_cmd_toric, ("json", "table")),
+    "modular-check": (_cmd_modular_check, ("json", "table")),
+    "verify-paper": (_cmd_verify, ("table",)),
 }
 
 # parse_args keeps nothing between calls, so one parser serves every main
@@ -367,11 +367,13 @@ def main(argv=None):
         diagram = parse_graph_name(args.graph)
     except UnsupportedDiagramError as exc:
         PARSER.error(str(exc))
-    if args.format == "dot" and args.command != "ocneanu":
-        PARSER.error("dot output only applies to the ocneanu command")
+    run, formats = COMMANDS[args.command]
+    if args.format not in formats:
+        PARSER.error("%s takes --format %s"
+                     % (args.command, "|".join(formats)))
 
     try:
-        out = COMMANDS[args.command](args, PARSER, diagram)
+        out = run(args, PARSER, diagram)
     except AdeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -10,15 +10,13 @@ fixes N_b row by row: every row for the branch vertex of an E diagram,
 all but the fork pair for a fork vertex of a D diagram.  The split of
 that pair walks y.G = N_f[f1] the same way, from two pinned coordinates.
 
-Everything is verified eagerly: entries nonnegative integers, unit and
-generator recovered, row 0 of N_a equal to e_a, symmetry, and commutation
-with the few N_s for which e_0 is a cyclic vector, found by a rank modulo
-the prime 2^31 - 1 (in _Span, the one exact span of the package, which
-ocneanu's greedy basis uses too).  Pairwise commutativity follows from that
-certificate, and closure of the structure constants from symmetry plus
-commutation (see _verify_ring).  Diagrams admitting no such structure
-(E7, D_odd) raise NoPositiveHypergroupError from the failed construction
-itself.  All of it is integer arithmetic (large products: _exact_dtype).
+Everything is verified eagerly (_verify_ring): nonnegative integer
+entries, unit and generator, row 0 of N_a equal to e_a, symmetry, and
+commutation with the few N_s, read from the diagram, for which e_0 is a
+cyclic vector; pairwise commutation and closure follow.  Diagrams admitting
+no such structure (E7, D_odd) raise NoPositiveHypergroupError from the
+failed construction itself.  All of it is integer arithmetic (large
+products: _exact_dtype), none of it modular.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
 ]
 
 _SPLIT_CAP = 500000
-_P = 2 ** 31 - 1            # the prime of _Span
 
 
 class _Fail(Exception):
@@ -201,93 +198,11 @@ def _construct_d(d):
     return found[0]
 
 
-def _eliminate(v, row, p):
-    """v minus v[p] times row, modulo _P, in place; row[p] = 1, so v's
-    entry at p goes."""
-    coef = v[p]
-    for c, x in row.items():
-        y = (v.get(c, 0) - coef * x) % _P
-        if y:
-            v[c] = y
-        else:
-            v.pop(c, None)
-
-
-class _Span:
-    """A subspace of F_P^k, P = _P, grown one vector at a time.
-
-    Vectors are dicts {column: int}.  Each row is kept reduced: its pivot
-    entry is 1 and its other entries lie off every pivot column, so
-    residue() is a canonical representative modulo the span.  Entries
-    are Python ints, so no product can overflow.
-    """
-
-    def __init__(self):
-        self.rows = {}      # pivot column -> row
-
-    def residue(self, vec):
-        """vec modulo the span, without its zero entries."""
-        v = {c: x % _P for c, x in vec.items() if x % _P}
-        for p in [c for c in v if c in self.rows]:
-            _eliminate(v, self.rows[p], p)
-        return v
-
-    def insert(self, vec):
-        """Add vec to the span.  Returns True if the rank grew."""
-        row = self.residue(vec)
-        if not row:
-            return False
-        p = min(row)
-        inv = pow(row[p], -1, _P)
-        row = {c: x * inv % _P for c, x in row.items()}
-        for old in self.rows.values():
-            if p in old:
-                _eliminate(old, row, p)
-        self.rows[p] = row
-        return True
-
-
-def _cyclic_generators(n):
-    """The greedy S of _verify_ring: vertices s such that e_0 is cyclic
-    for the matrices N_s, starting from the generator 1.
-
-    Closes span{e_0.w}, w a word in S, under right multiplication by every
-    N_s, modulo the prime _P, in a _Span; while the span falls short of
-    F_P^r, adds the first vertex a with e_0.N_a outside it, so each vertex
-    added grows the span.  On a fusion table e_0.N_a = e_a, so there is
-    such a vertex until the span is full.
-    """
-    r = len(n)
-    span = _Span()
-    gens, mats = [], {}         # mats[s]: N_s as one dict per row
-
-    def times(v, s):
-        out = {}
-        for j, x in v.items():
-            for c, y in mats[s][j].items():
-                out[c] = out.get(c, 0) + x * y
-        return out
-
-    def add(s):
-        """Make s a generator; returns the span's rows times N_s."""
-        mats[s] = [{c: x for c, x in enumerate(row) if x}
-                   for row in n[s].tolist()]
-        gens.append(s)
-        return [times(v, s) for v in span.rows.values()]
-
-    if r > 1:
-        add(1)
-    todo = [{0: 1}]
-    while True:
-        while todo and len(span.rows) < r:
-            v = span.residue(todo.pop())
-            if v:
-                span.insert(v)
-                todo += [times(v, s) for s in gens]
-        if len(span.rows) == r:
-            return tuple(gens)
-        todo = add(next(a for a in range(r)
-                        if span.residue(dict(enumerate(n[a, 0].tolist())))))
+def _ring_generators(d):
+    """The S of _verify_ring: 1, and the fork vertex r - 2 on D; none on A1."""
+    if d.family is Family.D:
+        return (1, d.rank - 2)
+    return (1,) if d.rank > 1 else ()
 
 
 def _verify_ring(d, mats):
@@ -296,17 +211,23 @@ def _verify_ring(d, mats):
     generator 1.
 
     Commutation is checked only against the N_s, s in S =
-    _cyclic_generators(n), which is |S|.r products instead of r^2.  Let
-    A be the algebra the N_s generate.  It is commutative, since the pairs
-    inside S are among those checked, and e_0 is cyclic for it: S was
-    grown until the vectors e_0.w span F_P^r, P = _P, so some r of them
-    have a determinant that is nonzero mod P, hence nonzero, and they span
-    Q^r.  (An unlucky P would only make S larger.)  Every X
-    commuting with A lies in A: take a in A with e_0.X = e_0.a; then for
-    every b in A, (e_0.b).X = e_0.X.b = e_0.a.b = (e_0.b).a, and the e_0.b
-    span Q^r, so X = a.  Each N_a commutes with A, so it lies in A, and the
-    N_a commute pairwise.  Conversely a table whose matrices commute
-    pairwise passes, as S is only a subset of the vertices.
+    _ring_generators(d), which is |S|.r products instead of r^2.  e_0 is
+    cyclic for them: the e_0.w, w a word in the N_s, span Q^r.  That reads
+    only G = N_1 and rows 0, which the checks before it fix.
+      A_n: e_0.G^k has support {0..k} and a 1 at k, so these span Q^r.
+      E6, E7, E8: the integer Krylov matrix [e_0.G^k], k < r, has
+        determinant -1 on all three.
+      D_n, fork f1 = r-2, f2 = r-1: G commutes with the fork swap, so the
+        e_0.G^k are triangular on the tail coordinates and x_f1 + x_f2,
+        and span the hyperplane x_f1 = x_f2.  Row 0 of N_f1 is e_f1,
+        outside it.
+    Let A be the algebra the N_s generate.  It is commutative, since the
+    pairs inside S are among those checked, and e_0 is cyclic for it.
+    Every X commuting with A lies in A: take a in A with e_0.X = e_0.a;
+    then for every b in A, (e_0.b).X = e_0.X.b = e_0.a.b = (e_0.b).a, and
+    the e_0.b span Q^r, so X = a.  Each N_a commutes with A, so it lies in
+    A, and the N_a commute pairwise.  Conversely a table whose matrices
+    commute pairwise passes, as S is only a subset of the vertices.
 
     Closure N_a N_b = sum_c N_a[b,c] N_c is not checked, because it
     follows from the checks made.  Let M = N_a N_b - sum_c N_a[b,c] N_c.
@@ -332,11 +253,10 @@ def _verify_ring(d, mats):
         raise _Fail("row 0 of matrix %d is not a unit vector" % bad[0])
     if not np.array_equal(n, n.transpose(1, 0, 2)):
         raise _Fail("structure constants are not symmetric")
-    gens = _cyclic_generators(n)
     # n @ n[s] is exact wherever n @ n is, and float64 products are
     # compared as they are, with no int64 copy
     n = n.astype(_exact_dtype((n, n)))
-    for s in gens:
+    for s in _ring_generators(d):
         bad = np.flatnonzero(np.any(n @ n[s] != n[s] @ n, axis=(1, 2)))
         if bad.size:
             raise _Fail("matrices %d and %d do not commute" % (bad[0], s))

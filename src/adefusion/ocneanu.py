@@ -16,7 +16,7 @@ image in the quotient.
 The canonical basis is still the greedy one: the first r^2/|J| pairs in
 position order that stay independent modulo the radical, i.e. whose rows
 of C are independent.  Independence is found modulo the prime 2^31 - 1
-(fusion._Span) and certified over Q.  The normal forms solve
+(_Span) and certified over Q.  The normal forms solve
 nf . C[canonical] = C; they are found in floats, rounded and verified
 exactly in integers, and no pair's normal form may use a canonical pair
 after it, which makes the basis the greedy one over Q.  The pairs a(x)0
@@ -38,7 +38,7 @@ import numpy as np
 
 from .diagram import _frozen, cache_per_diagram, json_document
 from .errors import StructuralError
-from .fusion import _exact_dtype, _Span, ambichiral_subalgebra, fusion_matrices
+from .fusion import _exact_dtype, ambichiral_subalgebra, fusion_matrices
 
 __all__ = [
     "QuantumSymmetries",
@@ -52,6 +52,53 @@ __all__ = [
     "decompose_right",
     "ocneanu_json",
 ]
+
+_P = 2 ** 31 - 1            # the prime of _Span
+
+
+def _eliminate(v, row, p):
+    """v -= v[p] * row modulo _P, in place; row[p] = 1, so v loses p."""
+    coef = v[p]
+    for c, x in row.items():
+        y = (v.get(c, 0) - coef * x) % _P
+        if y:
+            v[c] = y
+        else:
+            v.pop(c, None)
+
+
+class _Span:
+    """A subspace of F_P^k, P = _P, grown one vector at a time.
+
+    Vectors are dicts {column: int}.  Each row is kept reduced: its pivot
+    entry is 1 and its other entries lie off every pivot column, so
+    residue() is a canonical representative modulo the span.  Entries
+    are Python ints, so no product can overflow.
+    """
+
+    def __init__(self):
+        self.rows = {}      # pivot column -> row
+
+    def residue(self, vec):
+        """vec modulo the span, without its zero entries."""
+        v = {c: x % _P for c, x in vec.items() if x % _P}
+        for p in [c for c in v if c in self.rows]:
+            _eliminate(v, self.rows[p], p)
+        return v
+
+    def insert(self, vec):
+        """Add vec to the span.  Returns True if the rank grew."""
+        row = self.residue(vec)
+        if not row:
+            return False
+        p = min(row)
+        inv = pow(row[p], -1, _P)
+        row = {c: x * inv % _P for c, x in row.items()}
+        for old in self.rows.values():
+            if p in old:
+                _eliminate(old, row, p)
+        self.rows[p] = row
+        return True
 
 
 class _ReadOnlyDict(dict):

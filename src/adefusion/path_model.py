@@ -2,8 +2,8 @@
 
 Paths of length p are (p+1)-tuples of adjacent vertex positions.  The
 annihilation operator C_k contracts a backtracking step at position k with
-weight sqrt(D[v_k]/D[v_{k-1}]), where D is the Perron-Frobenius vector;
-its adjoint C+_k inserts a backtrack.  The normalized products
+weight sqrt(D[v_k]/D[v_{k-1}]) (_weights), where D is the Perron-Frobenius
+vector; its adjoint C+_k inserts a backtrack.  The normalized products
 e_k = C+_k C_k / beta realize the Temperley-Lieb projectors, and the
 essential subspace at length p is the joint kernel of all C_k.
 
@@ -102,6 +102,13 @@ class PathSpace:
             self.diagram.name, self.length, self.origin, self.dim)
 
 
+@cache_per_diagram
+def _weights(d):
+    """weight[u][v] = sqrt(D[v] / D[u]), the factor of contracting u, v, u."""
+    pf = perron_frobenius(d)
+    return tuple(map(tuple, np.sqrt(pf[None, :] / pf[:, None]).tolist()))
+
+
 class PathOperator:
     def __init__(self, kind, k, source, target, matrix):
         self.kind = kind
@@ -124,13 +131,13 @@ def annihilation_operator(space, k):
         raise ValueError("C_%d undefined on paths of length %d" % (k, p))
     d = space.diagram
     target = PathSpace(d, p - 2, space.origin, space.cap)
-    pf = perron_frobenius(d)
+    weight = _weights(d)
     m = np.zeros((target.dim, space.dim))
     for j, path in enumerate(space.paths):
         if path[k + 1] != path[k - 1]:
             continue
         short = path[:k] + path[k + 2:]
-        m[target.index[short], j] = np.sqrt(pf[path[k]] / pf[path[k - 1]])
+        m[target.index[short], j] = weight[path[k - 1]][path[k]]
     return PathOperator("annihilation", k, space, target, m)
 
 
@@ -141,13 +148,13 @@ def creation_operator(space, k):
         raise ValueError("C+_%d undefined on paths of length %d" % (k, p))
     d = space.diagram
     target = PathSpace(d, p + 2, space.origin, max(space.cap, p + 2))
-    pf = perron_frobenius(d)
+    weight = _weights(d)
     m = np.zeros((target.dim, space.dim))
     for j, path in enumerate(space.paths):
         anchor = path[k - 1]
         for w in d.neighbors(anchor):
             longer = path[:k] + (w, anchor) + path[k:]
-            m[target.index[longer], j] += np.sqrt(pf[w] / pf[anchor])
+            m[target.index[longer], j] += weight[anchor][w]
     return PathOperator("creation", k, space, target, m)
 
 
@@ -182,9 +189,7 @@ def _constraint_blocks(space):
     None when no C_k acts on it.  Rows go in k order and, within one k,
     the contracted paths go in order of first appearance."""
     p = space.length
-    pf = perron_frobenius(space.diagram)
-    # weight[u][v] = sqrt(D[v] / D[u]), the factor of contracting u, v, u
-    weight = np.sqrt(pf[None, :] / pf[:, None]).tolist()
+    weight = _weights(space.diagram)
     for ab, block in _blocks(space).items():
         rows, cols, vals = [], [], []
         nrows = 0
@@ -267,10 +272,7 @@ def _kernel_chain(d, tol):
     """The neighbour table, the weight table and {origin: levels} for one
     (diagram, tol).  levels[q][b] is the read-only kernel basis at length q
     of the paths from the origin to b; _prefix_kernels appends levels."""
-    pf = perron_frobenius(d)
-    # weight[b][c] = sqrt(D[c] / D[b]), the factor of contracting b, c, b
-    weight = np.sqrt(pf[None, :] / pf[:, None]).tolist()
-    return [d.neighbors(b) for b in range(d.rank)], weight, {}
+    return [d.neighbors(b) for b in range(d.rank)], _weights(d), {}
 
 
 # held while a chain grows: two threads appending to one chain would

@@ -4,7 +4,8 @@ Each is the plain, slower way to compute a value that the package now
 computes another way: exact linear algebra over Fraction (SparseRREF, an
 incremental reduced echelon form, and solve_many), and the constructions
 the package used before it kept to integers.  None of them is used by
-the package itself.
+the package itself.  It also holds the label lookups that the test files
+share (_pos, _element_index).
 """
 
 import math
@@ -13,6 +14,21 @@ from fractions import Fraction
 import numpy as np
 
 from adefusion.fusion import _Fail, _forced_rows, _long_branch, _verify_ring
+
+
+def _pos(d, label):
+    return d.label_to_position(label)
+
+
+def _element_index(qs, la, lb):
+    """The basis element that the label pair la (x) lb is on its own, read
+    off its normal form rather than through qs.element, which the tests
+    check against it."""
+    d = qs.diagram
+    v = qs.nf[_pos(d, la), _pos(d, lb)]
+    live = np.nonzero(v)[0]
+    assert len(live) == 1 and v[live[0]] == 1, (la, lb)
+    return int(live[0])
 
 
 class SparseRREF:
@@ -123,8 +139,13 @@ def solve_many(a, bs):
 
 
 def cyclic_generators_over_q(n):
-    """fusion._cyclic_generators with its rank taken exactly over Q, in a
-    SparseRREF, instead of modulo a prime; the same greedy order."""
+    """The vertices s, greedily from the generator 1, that make e_0 cyclic
+    for the N_s of the table n, ranks taken exactly over Q in a SparseRREF.
+
+    Closes span{e_0.w}, w a word in S, under right multiplication by every
+    N_s; while the span falls short of Q^r, adds the first vertex a with
+    e_0.N_a outside it.  The reference for fusion._ring_generators, which
+    reads S from the diagram alone."""
     r = len(n)
     gens = [1] if r > 1 else []
     span = SparseRREF(r)

@@ -40,16 +40,7 @@ from adefusion.ocneanu import element_dims, s_matrices
 from adefusion.path_model import essential_dims
 from adefusion import golden
 
-
-def _pos(d, label):
-    return d.label_to_position(label)
-
-
-def _element_index(qs, la, lb):
-    d = qs.diagram
-    v = qs.nf[_pos(d, la), _pos(d, lb)]
-    assert np.count_nonzero(v) == 1 and v.max() == 1, (la, lb)
-    return int(np.nonzero(v)[0][0])
+from _oracles import _element_index, _pos
 
 
 def test_criterion_1_fusion_table():

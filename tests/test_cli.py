@@ -321,6 +321,18 @@ def test_dot_rejected_elsewhere(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_verify_paper_takes_only_table(capsys, fmt):
+    # verify-paper prints PASS/FAIL lines: a json request would get text
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "E6", "--format", fmt])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: verify-paper takes --format table\n" in err
+    assert main(["verify-paper", "E6", "--format", "table"]) == 0
+
+
 def test_toric_single_element(capsys):
     status, out, _ = _run(capsys, ["toric", "E6", "--element", "0x0"])
     assert status == 0
@@ -419,6 +431,7 @@ def test_domain_error_exit_one(capsys):
 def test_unconverged_power_iteration_exit_one(capsys, monkeypatch):
     # at the default max_iter this is `paths D200 --length 2` (about 2.5 s)
     monkeypatch.setattr(perron_frobenius, "__defaults__", (1e-12, 3))
+    path_model._weights.cache_clear()
     path_model._kernel_chain.cache_clear()
     status, out, err = _run(capsys, ["paths", "A11", "--length", "2"])
     assert status == 1

@@ -36,9 +36,7 @@ from adefusion.golden import (
     E6_RIGHT_TABLE,
 )
 
-
-def _pos(d, label):
-    return d.label_to_position(label)
+from _oracles import _element_index, _pos
 
 
 def test_e6_printed_matrices():
@@ -168,14 +166,6 @@ def test_left_worked_example():
     want = (a11.matrix(2) + 2 * a11.matrix(4) + a11.matrix(6)
             + a11.matrix(8) + a11.matrix(10))
     assert np.array_equal(target, want)
-
-
-def _element_index(qs, la, lb):
-    d = qs.diagram
-    v = qs.nf[_pos(d, la), _pos(d, lb)]
-    live = np.nonzero(v)[0]
-    assert len(live) == 1 and v[live[0]] == 1, (la, lb)
-    return int(live[0])
 
 
 def test_right_decomposition_table():

@@ -24,13 +24,12 @@ from adefusion import (
 )
 from adefusion.fusion import (
     _construct_d,
-    _cyclic_generators,
     _exact_dtype,
     _Fail,
     _forced_rows,
     _int_matmul,
     _long_branch,
-    _Span,
+    _ring_generators,
     _verify_ring,
     algebra_for,
 )
@@ -41,6 +40,7 @@ from adefusion.golden import (
     E6_FUSION_CELLS,
     E6_N,
 )
+from adefusion.ocneanu import _Span
 
 from _oracles import (
     SparseRREF,
@@ -225,22 +225,43 @@ def test_corrupted_table_is_refused(graph, corrupt, reason):
     assert not _ring_by_closure_loop(n)
 
 
-def test_cyclic_generators():
-    # G alone makes e_0 cyclic where its spectrum is simple (A, E); the
-    # repeated eigenvalue of D_even needs one fork matrix besides
-    assert _cyclic_generators(fusion_matrices(build_diagram("A", 1)).n) == ()
-    for family, rank in ACCEPTED[1:] + [("A", r) for r in range(31, 61)]:
-        want = (1, rank - 2) if family == "D" else (1,)
-        alg = fusion_matrices(build_diagram(family, rank))
-        assert _cyclic_generators(alg.n) == want, alg.diagram.name
+def _krylov_span(g):
+    """span{e_0.G^k : k < r} over Q, in a SparseRREF."""
+    span, v = SparseRREF(len(g)), np.eye(len(g), dtype=object)[0]
+    for _ in range(len(g)):
+        span.insert(dict(enumerate(v.tolist())))
+        v = v.dot(g.astype(object))
+    return span
 
 
-def test_cyclic_generators_mod_p_match_rank_over_q():
-    graphs = (["A%d" % n for n in range(1, 41)]
+def test_ring_generators():
+    # the proof in _verify_ring: the e_0.G^k span Q^r on A and E; on D they
+    # span only the hyperplane x_f1 = x_f2, which e_0.N_f1 = e_f1 leaves,
+    # so S needs the fork matrix there.  The rule reads only the diagram,
+    # refused diagrams included
+    assert _ring_generators(build_diagram("A", 1)) == ()
+    for family, rank in ACCEPTED[1:] + [("D", 5), ("D", 7), ("E", 7)]:
+        d = build_diagram(family, rank)
+        span = _krylov_span(d.adjacency)
+        if family == "D":
+            f1, f2 = rank - 2, rank - 1
+            assert _ring_generators(d) == (1, f1), d.name
+            assert span.rank == rank - 1, d.name
+            assert all(row.get(f1, 0) == row.get(f2, 0)
+                       for row in span.rows.values()), d.name
+            assert span.residue({f1: 1}), d.name
+        else:
+            assert _ring_generators(d) == (1,), d.name
+            assert span.rank == rank, d.name
+
+
+def test_ring_generators_match_rank_over_q():
+    graphs = (["A%d" % n for n in range(1, 61)]
               + ["D%d" % n for n in range(4, 37, 2)] + ["E6", "E8"])
     for graph in graphs:
-        n = algebra_for(graph).n
-        assert _cyclic_generators(n) == cyclic_generators_over_q(n), graph
+        alg = algebra_for(graph)
+        assert _ring_generators(alg.diagram) == \
+            cyclic_generators_over_q(alg.n), graph
 
 
 @given(st.data())
@@ -285,13 +306,18 @@ def test_perturbed_table_refused_as_by_the_old_loop(graph, data):
 
 
 @given(st.sampled_from(PERTURBED), st.data())
-def test_perturbed_table_cyclic_generators_match_rank_over_q(graph, data):
-    # a perturbed table may need more generators, or other ones
+def test_perturbed_table_ring_generators_match_rank_over_q(graph, data):
+    # the tables that reach the commutation check keep n[0], n[1] = G and
+    # row 0 of every n[a]; a perturbation elsewhere may break the ring,
+    # but e_0 stays cyclic for the same generators
     alg = fusion_matrices(build_diagram(*graph))
-    a, b, c = (data.draw(st.integers(0, alg.rank - 1)) for _ in range(3))
+    r = alg.rank
+    a, b, c = (data.draw(st.integers(lo, r - 1)) for lo in (2, 1, 0))
     n = alg.n.copy()
     n[a, b, c] += data.draw(st.integers(1, 3))
-    assert _cyclic_generators(n) == cyclic_generators_over_q(n)
+    if b > 1 and data.draw(st.booleans()):
+        n[b, a, c] = n[a, b, c]
+    assert _ring_generators(alg.diagram) == cyclic_generators_over_q(n)
 
 
 @pytest.mark.parametrize("rank", list(range(4, 37, 2)) + [5, 7, 21, 41],

@@ -25,15 +25,7 @@ from adefusion.golden import (
     T_ORDER_12,
 )
 
-from _oracles import t_order_by_fractions
-
-
-def _element_index(qs, la, lb):
-    d = qs.diagram
-    v = qs.nf[d.label_to_position(la), d.label_to_position(lb)]
-    live = np.nonzero(v)[0]
-    assert len(live) == 1 and v[live[0]] == 1, (la, lb)
-    return int(live[0])
+from _oracles import _element_index, t_order_by_fractions
 
 
 def test_t_order_matches_phase_fractions():

@@ -12,8 +12,9 @@ from adefusion import (
     s_matrices,
 )
 from adefusion import ocneanu
-from adefusion.fusion import _Span, fusion_matrices
-from adefusion.ocneanu import QuantumSymmetries, cayley_dot, element_dims
+from adefusion.fusion import fusion_matrices
+from adefusion.ocneanu import (QuantumSymmetries, _Span, cayley_dot,
+                               element_dims)
 from adefusion.golden import (
     A11_QS_DIM,
     E6_AMBI_POSITIONS,
@@ -31,19 +32,7 @@ from adefusion.golden import (
     E8_QS_DIM,
 )
 
-from _oracles import SparseRREF, solve_many
-
-
-def _pos(d, label):
-    return d.label_to_position(label)
-
-
-def _element_index(qs, la, lb):
-    d = qs.diagram
-    v = qs.nf[_pos(d, la), _pos(d, lb)]
-    live = np.nonzero(v)[0]
-    assert len(live) == 1 and v[live[0]] == 1, (la, lb)
-    return int(live[0])
+from _oracles import SparseRREF, _element_index, _pos, solve_many
 
 
 def test_dimension_and_names():

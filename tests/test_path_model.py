@@ -439,6 +439,7 @@ def test_path_window_runs_each_kernel_step_once(monkeypatch):
 
     monkeypatch.setattr(path_model, "_kernel_step", counting_step)
     monkeypatch.setattr(path_model, "perron_frobenius", counting_pf)
+    path_model._weights.cache_clear()
     path_model._kernel_chain.cache_clear()
     windows = (("E", 6, 11), ("D", 6, 9), ("E", 8, 10))
     asks = [(fam, rank, p) for fam, rank, last in windows
