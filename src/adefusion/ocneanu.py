@@ -131,19 +131,28 @@ class QuantumSymmetries:
 
         # Gram[(a,b),(c,d)] = sum_j N_j[a,c] N_j[b,d], as N_a[j,c] = N_j[a,c]
         nj = algebra.n[list(self.ambichiral)]
-        norms = np.einsum("jaa,jbb->ab", nj, nj).ravel()
+        norms = np.einsum("jaa,jbb->ab", nj, nj)
+        # the column of a pair (c, d) is N_J[:, :, c]^T . N_J[:, :, d]: one
+        # stacked product per c over its d of norm 1, on operands cast once
+        # to a dtype that makes them exact (gathering both factors for every
+        # pair took five times the Gram check's memory on A60)
+        left, right = nj.transpose(2, 1, 0), nj.transpose(2, 0, 1)
+        dtype = _exact_dtype((left, right))
+        # C order, so that each left[c] is a BLAS operand
+        left, right = left.astype(dtype, order="C"), right.astype(dtype)
         simples, cols = [], []
-        for p in np.flatnonzero(norms == 1).tolist():
-            c, d = divmod(p, r)
-            col = (nj[:, :, c].T @ nj[:, :, d]).ravel()
-            if not col[simples].any():
-                simples.append(p)
-                cols.append(col)
+        for c, row in enumerate(norms == 1):
+            ds = np.flatnonzero(row)
+            block = np.matmul(left[c], right[ds]).reshape(len(ds), r * r)
+            for d, col in zip(ds.tolist(), block):
+                if not col[simples].any():
+                    simples.append(c * r + d)
+                    cols.append(col)
         if len(simples) != self.dim:
             raise StructuralError(
                 "%d orthogonal pairs of norm 1, expected %d"
                 % (len(simples), self.dim))
-        gram_c = np.stack(cols, axis=1)
+        gram_c = np.stack(cols, axis=1).astype(np.int64)
 
         # Gram = C.C^T, one row block a(x)- at a time in O(r^3) memory: the
         # operands go once to a dtype that makes every block's products

@@ -1,9 +1,13 @@
+import ast
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+import adefusion
+from adefusion import diagram
 from adefusion import (
     Family,
     StructuralError,
@@ -109,6 +113,73 @@ def test_perron_frobenius_matches_norm_loop_bit_for_bit():
         assert perron_frobenius(d).tobytes() == want.tobytes(), d.name
 
 
+def _one_step_loop(d, tol=1e-12, max_iter=100000):
+    # reference: the one-step loop that the blocked iteration replaced,
+    # verbatim, with its guard; returns the vector and the steps taken
+    beta = graph_norm(d)
+    g = d.adjacency.astype(float)
+    shifted = g + np.eye(d.rank)
+    v = np.ones(d.rank)
+    steps = 0
+    for _ in range(max_iter):
+        steps += 1
+        w = shifted @ v
+        # sqrt(x . x) is what np.linalg.norm computes for a 1-D float
+        # vector, bit for bit, without its argument handling
+        w /= math.sqrt(np.dot(w, w))
+        step = w - v
+        if math.sqrt(np.dot(step, step)) < tol:
+            v = w
+            break
+        v = w
+    v = v / v[0]
+    residual = np.max(np.abs(g @ v - beta * v))
+    if residual > 1e-9:
+        raise StructuralError(
+            "power iteration residual %.3g exceeds 1e-9" % residual)
+    return v, steps
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except StructuralError as exc:
+        return str(exc)
+
+
+def test_blocked_iteration_matches_one_step_loop_bit_for_bit():
+    graphs = ([("A", n) for n in range(1, 121)]
+              + [("D", n) for n in range(4, 101)]
+              + [("E", n) for n in (6, 7, 8)])
+    stop_in_block = set()
+    for fam, rank in graphs:
+        d = build_diagram(fam, rank)
+        want, steps = _one_step_loop(d)
+        assert perron_frobenius(d).tobytes() == want.tobytes(), d.name
+        if steps > diagram._BLOCK:
+            stop_in_block.add(steps % diagram._BLOCK)
+    # stops on the first step of a later block (A11, 129 steps) and on the
+    # last step of one (A100, 7968 steps) are among them
+    assert {0, 1} <= stop_in_block
+
+
+@pytest.mark.parametrize("name", ["A11", "D10", "E8"])
+def test_blocked_iteration_matches_one_step_loop_at_the_edges(name):
+    d = parse_graph_name(name)
+    _, steps = _one_step_loop(d)
+    cases = [(1e-12, m) for m in (0, 1, 31, 32, 33, 64, 65,
+                                  steps - 1, steps, steps + 1)]
+    # tol whose square underflows, and tol that no step or every step passes
+    cases += [(t, 40) for t in (1e-200, 0.0, -1.0, math.inf, math.nan)]
+    for tol, max_iter in cases:
+        got = _outcome(lambda: perron_frobenius(d, tol, max_iter))
+        want = _outcome(lambda: _one_step_loop(d, tol, max_iter)[0])
+        if isinstance(want, str):
+            assert got == want, (tol, max_iter)
+        else:
+            assert got.tobytes() == want.tobytes(), (tol, max_iter)
+
+
 def test_perron_frobenius_refuses_when_unconverged():
     with pytest.raises(StructuralError, match="power iteration residual"):
         perron_frobenius(build_diagram("A", 11), max_iter=3)
@@ -137,6 +208,18 @@ def test_spectral_data_residual():
     res = g @ s.perron_frobenius - s.norm * s.perron_frobenius
     assert np.max(np.abs(res)) < 1e-9
     assert s.exponents == (1, 3, 5, 7, 9, 5)
+
+
+def test_package_names_are_exported_by_their_modules():
+    # every name adefusion imports from a module is one that
+    # "from module import *" gives, as the benchmark's tracer reads __all__
+    tree = ast.parse(inspect.getsource(adefusion))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            star = {}
+            exec("from adefusion.%s import *" % node.module, star)
+            missing = [a.name for a in node.names if a.name not in star]
+            assert not missing, (node.module, missing)
 
 
 def test_q_numbers():
