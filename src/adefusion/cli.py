@@ -55,9 +55,10 @@ from .path_model import spanning_json
 # N_{p-2}(a, b) rows for each of C_1 .. C_{p-1}; `--format json` takes the
 # SVD of that matrix, while the table needs only one small SVD per length.
 # For scale, one thread: E6 --length 11 (7,382 paths, 2,090 rows) takes
-# about 0.03 s as a table and 3.5-4.5 s as JSON, after startup.
+# about 0.012 s as a table and 3.2 s as JSON, after startup.
 PATHS_BUDGET = 10_000
 BLOCK_ROWS_BUDGET = 4_000
+DEFAULT_TOL = 1e-9
 
 
 def _build_parser():
@@ -74,8 +75,8 @@ def _build_parser():
     p.add_argument("--origin", default=None, metavar="V",
                    help="restrict paths to this starting vertex label")
     p.add_argument("--length", type=int, default=None, metavar="N")
-    p.add_argument("--tol", type=_tolerance, default=1e-9, metavar="X",
-                   help="a finite number above 0 (default 1e-9)")
+    p.add_argument("--tol", type=_tolerance, default=None, metavar="X",
+                   help="a finite number above 0 (default %g)" % DEFAULT_TOL)
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the output to a file instead of stdout")
     return p
@@ -344,18 +345,19 @@ def _cmd_verify(args, parser, diagram):
 
 # -- entry point ---------------------------------------------------------
 
-# The one list of commands, each with the formats it takes, called as
-# fn(args, parser, diagram): a payload dict, which main wraps in the
-# envelope and encodes, or text; verify-paper adds its exit status.
+# The one list of commands, with the formats and own options each takes,
+# called as fn(args, parser, diagram): a payload dict, which main wraps in
+# the envelope and encodes, or text; verify-paper adds its exit status.
 COMMANDS = {
-    "fusion": (_cmd_fusion, ("json", "table")),
-    "essential": (_cmd_essential, ("json", "table")),
-    "paths": (_cmd_paths, ("json", "table")),
-    "ocneanu": (_cmd_ocneanu, ("json", "dot", "table")),
-    "toric": (_cmd_toric, ("json", "table")),
-    "modular-check": (_cmd_modular_check, ("json", "table")),
-    "verify-paper": (_cmd_verify, ("table",)),
+    "fusion": (_cmd_fusion, ("json", "table"), ()),
+    "essential": (_cmd_essential, ("json", "table"), ()),
+    "paths": (_cmd_paths, ("json", "table"), ("origin", "length", "tol")),
+    "ocneanu": (_cmd_ocneanu, ("json", "dot", "table"), ()),
+    "toric": (_cmd_toric, ("json", "table"), ("element",)),
+    "modular-check": (_cmd_modular_check, ("json", "table"), ("tol",)),
+    "verify-paper": (_cmd_verify, ("table",), ()),
 }
+OWN_OPTIONS = sorted({o for _, _, taken in COMMANDS.values() for o in taken})
 
 # parse_args keeps nothing between calls, so one parser serves every main
 PARSER = _build_parser()
@@ -367,10 +369,14 @@ def main(argv=None):
         diagram = parse_graph_name(args.graph)
     except UnsupportedDiagramError as exc:
         PARSER.error(str(exc))
-    run, formats = COMMANDS[args.command]
+    run, formats, taken = COMMANDS[args.command]
     if args.format not in formats:
         PARSER.error("%s takes --format %s"
                      % (args.command, "|".join(formats)))
+    for option in OWN_OPTIONS:
+        if option not in taken and getattr(args, option) is not None:
+            PARSER.error("%s does not take --%s" % (args.command, option))
+    args.tol = DEFAULT_TOL if args.tol is None else args.tol
 
     try:
         out = run(args, PARSER, diagram)

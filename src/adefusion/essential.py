@@ -155,14 +155,22 @@ def para_invariants(ess):
 
 def decompose_left(ess, a, b):
     """Coefficients of E_a . E_b^T over the fusion matrices of the path
-    partner.  The reconstruction is checked exactly."""
-    partner = _path_partner(ess)
-    coeffs = ess.f[:, a, b].copy()
-    target = ess.e[a] @ ess.e[b].T
-    rebuilt = np.tensordot(coeffs, partner.n, axes=(0, 0))
-    if not np.array_equal(rebuilt, target):
-        raise StructuralError(
-            "left decomposition of (%d,%d) does not reconstruct" % (a, b))
+    partner; for arrays a, b of positions, one row per cell (a[i], b[i]).
+    The reconstruction is checked exactly."""
+    return _decompose("left", ess.f, _path_partner(ess).n, a, b,
+                      ess.e[a] @ np.swapaxes(ess.e[b], -1, -2))
+
+
+def _decompose(side, table, mats, a, b, target):
+    """table[:, a, b], cells first, once each cell's coefficients over
+    mats rebuild its target; else StructuralError on the first that fails."""
+    coeffs = np.moveaxis(table[:, a, b], 0, -1).copy()
+    bad = np.flatnonzero((np.tensordot(coeffs, mats, axes=(-1, 0))
+                          != target).any(axis=(-2, -1)))
+    if bad.size:
+        cell = side, np.ravel(a)[bad[0]], np.ravel(b)[bad[0]]
+        raise StructuralError("%s decomposition of (%d,%d) does not "
+                              "reconstruct" % cell)
     return coeffs
 
 

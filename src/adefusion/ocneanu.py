@@ -38,6 +38,7 @@ import numpy as np
 
 from .diagram import _frozen, cache_per_diagram, json_document
 from .errors import StructuralError
+from .essential import _decompose
 from .fusion import _exact_dtype, ambichiral_subalgebra, fusion_matrices
 
 __all__ = [
@@ -347,16 +348,11 @@ def element_dims(qs):
 
 
 def decompose_right(ess, a, b):
-    """Coefficients of E_a^T . E_b over the quantum symmetry matrices.
-    The reconstruction is checked exactly."""
+    """Coefficients of E_a^T . E_b over the quantum symmetry matrices, for
+    a, b as in decompose_left.  The reconstruction is checked exactly."""
     smats = _s_matrices(ess)
-    coeffs = smats[:, a, b].copy()
-    target = ess.e[a].T @ ess.e[b]
-    rebuilt = np.tensordot(coeffs, smats, axes=(0, 0))
-    if not np.array_equal(rebuilt, target):
-        raise StructuralError(
-            "right decomposition of (%d,%d) does not reconstruct" % (a, b))
-    return coeffs
+    return _decompose("right", smats, smats, a, b,
+                      np.swapaxes(ess.e[a], -1, -2) @ ess.e[b])
 
 
 def cayley_graph(qs):

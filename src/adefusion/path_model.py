@@ -23,19 +23,22 @@ of K.
 
 This module is the numeric cross-check for the integer essential-path
 counts: it never looks at the recurrence, only at explicit path vectors,
-so agreement between the two is a real test.  Paths are enumerated anew
-on each call, from the diagram's neighbour table.  The prefix kernels are
-kept, one chain per (diagram, tol) under diagram.cache_per_diagram: for
-each origin asked, the read-only kernel bases at every length up to the
-longest one asked.  A longer request grows the chain by the missing steps
-only.  The level at length q holds, for each end b, an N_q(a, b) x
-dim ker_q(a, b) array of floats, N_q(a, b) the number of paths from a to
-b.  essential_subspace's bases are kept the same way, read-only, per
-(diagram, length, origin, tol).  tol must be finite and above 0.
+so agreement between the two is a real test.  Paths are enumerated anew on
+each call, each once: a head of floor(p/2) steps joined to each walk of the
+rest from its last vertex.  PathSpace.index is built on first use.  The
+prefix kernels are kept, one chain per
+(diagram, tol) under diagram.cache_per_diagram: for each origin asked, the
+read-only kernel bases at every length up to the longest one asked.  A
+longer request grows the chain by the missing steps only.  The level at
+length q holds, for each end b, an N_q(a, b) x dim ker_q(a, b) array of
+floats, N_q(a, b) the number of paths from a to b.  essential_subspace's
+bases are kept the same way, read-only, per (diagram, length, origin,
+tol).  tol must be finite and above 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -75,11 +78,15 @@ def enumerate_paths(diagram, length, origin=None, cap=DEFAULT_CAP):
             "length %d exceeds the cap %d (pass cap= to raise it)"
             % (length, cap))
     nbrs = [diagram.neighbors(v) for v in range(diagram.rank)]
-    paths = [(v,) for v in (range(diagram.rank) if origin is None
+    heads = [(v,) for v in (range(diagram.rank) if origin is None
                             else (origin,))]
-    for _ in range(length):
-        paths = [p + (w,) for p in paths for w in nbrs[p[-1]]]
-    return paths
+    for _ in range(length // 2):
+        heads = [p + (w,) for p in heads for w in nbrs[p[-1]]]
+    # tails[v]: the walks of the rest from v, without v, lexicographic
+    tails = [[()]] * diagram.rank
+    for _ in range(length - length // 2):
+        tails = [[(w,) + t for w in ws for t in tails[w]] for ws in nbrs]
+    return [h + t for h in heads for t in tails[h[-1]]]
 
 
 class PathSpace:
@@ -90,8 +97,11 @@ class PathSpace:
         self.length = length
         self.origin = origin
         self.paths = tuple(enumerate_paths(diagram, length, origin, cap))
-        self.index = {p: i for i, p in enumerate(self.paths)}
         self.cap = cap
+
+    @functools.cached_property
+    def index(self):
+        return {p: i for i, p in enumerate(self.paths)}
 
     @property
     def dim(self):
@@ -244,25 +254,32 @@ def _kernel_step(prev2, prev, nbrs, weight, tol):
     orthonormal column per kernel vector; the rows of block c are the
     rows of prev2[e] for each e ~ c in turn, each path extended by c."""
     shapes = [m.shape for m in prev]
-    rows2 = [m.shape[0] for m in prev2]
+    # off[c]: the rows of prev2[e] summed over e ~ c, e < b, as b ascends
+    off = [0] * len(prev)
     out = []
     for b, cs in enumerate(nbrs):
         # B: the bases at q-1 for c ~ b side by side, each path extended
         # by c -> b.  C_{q-1} contracts (.., b, c, b) to (.., b), so column
         # block c of C B is a weighted row slice of prev[c]
-        basis = np.zeros((sum(shapes[c][0] for c in cs),
-                          sum(shapes[c][1] for c in cs)))
-        cb = np.zeros((rows2[b], basis.shape[1]))
+        n2 = prev2[b].shape[0]
+        height = width = 0
+        for c in cs:
+            n, w = shapes[c]
+            height, width = height + n, width + w
+        basis = np.zeros((height, width))
+        cb = np.zeros((n2, width)) if n2 and width else None
         i = j = 0
         for c in cs:
             n, w = shapes[c]
-            basis[i:i + n, j:j + w] = prev[c]
-            off = sum(rows2[e] for e in nbrs[c] if e < b)
-            cb[:, j:j + w] += weight[b][c] * prev[c][off:off + rows2[b]]
+            o, off[c] = off[c], off[c] + n2
+            if w:
+                basis[i:i + n, j:j + w] = prev[c]
+                if cb is not None:
+                    cb[:, j:j + w] += weight[b][c] * prev[c][o:o + n2]
             i, j = i + n, j + w
-        if cb.size:
-            _, sing, vh = np.linalg.svd(cb, full_matrices=len(cb) < j)
-            basis = basis @ vh[int(np.sum(sing > tol)):].T
+        if cb is not None:
+            _, sing, vh = np.linalg.svd(cb, full_matrices=n2 < width)
+            basis = basis @ vh[np.count_nonzero(sing > tol):].T
         out.append(basis)
     return out
 

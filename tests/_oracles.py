@@ -3,7 +3,8 @@
 Each is the plain, slower way to compute a value that the package now
 computes another way: exact linear algebra over Fraction (SparseRREF, an
 incremental reduced echelon form, and solve_many), and the constructions
-the package used before it kept to integers.  None of them is used by
+the package used before it kept to integers or made fewer calls (the
+kernel step of the path model).  None of them is used by
 the package itself.  It also holds the label lookups that the test files
 share (_pos, _element_index).
 """
@@ -227,3 +228,31 @@ def t_order_by_fractions(level):
         g = (Fraction(m * m, 2 * level) + Fraction(1, 4)) / 2
         k = k * g.denominator // math.gcd(k, g.denominator)
     return k
+
+
+def kernel_step_by_slices(prev2, prev, nbrs, weight, tol):
+    """path_model._kernel_step before its offsets became a running sum:
+    every block builds C B, each row offset summed anew, and the rank is
+    np.sum of the singular values above tol."""
+    shapes = [m.shape for m in prev]
+    rows2 = [m.shape[0] for m in prev2]
+    out = []
+    for b, cs in enumerate(nbrs):
+        # B: the bases at q-1 for c ~ b side by side, each path extended
+        # by c -> b.  C_{q-1} contracts (.., b, c, b) to (.., b), so column
+        # block c of C B is a weighted row slice of prev[c]
+        basis = np.zeros((sum(shapes[c][0] for c in cs),
+                          sum(shapes[c][1] for c in cs)))
+        cb = np.zeros((rows2[b], basis.shape[1]))
+        i = j = 0
+        for c in cs:
+            n, w = shapes[c]
+            basis[i:i + n, j:j + w] = prev[c]
+            off = sum(rows2[e] for e in nbrs[c] if e < b)
+            cb[:, j:j + w] += weight[b][c] * prev[c][off:off + rows2[b]]
+            i, j = i + n, j + w
+        if cb.size:
+            _, sing, vh = np.linalg.svd(cb, full_matrices=len(cb) < j)
+            basis = basis @ vh[int(np.sum(sing > tol)):].T
+        out.append(basis)
+    return out

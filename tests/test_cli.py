@@ -421,6 +421,55 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert "--tol: must be a finite number above 0" in err
 
 
+# the options each command takes of its own, as the README documents them;
+# every other command refuses them
+DOCUMENTED_OPTIONS = {"paths": ("origin", "length", "tol"),
+                      "toric": ("element",), "modular-check": ("tol",)}
+OPTION_VALUES = {"element": "0x0", "origin": "0", "length": "4",
+                 "tol": "1e-6"}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in cli.COMMANDS for option in OPTION_VALUES
+    if option not in DOCUMENTED_OPTIONS.get(command, ())])
+def test_option_of_another_command_is_refused(capsys, command, option):
+    argv = [command, "E6", "--%s" % option, OPTION_VALUES[option]]
+    if command == "paths":
+        argv += ["--length", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "%s does not take --%s" % (command, option) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["paths", "E6", "--length", "4"],
+    ["paths", "E6", "--length", "4", "--origin", "0"],
+    ["paths", "E6", "--length", "4", "--tol", "1e-6"],
+    ["paths", "E6", "--length", "4", "--origin", "0", "--tol", "1e-6",
+     "--format", "json"],
+    ["toric", "E6", "--element", "0x0"],
+    ["toric", "E6", "--element", "0x0", "--format", "json"],
+    ["modular-check", "E6", "--tol", "1e-6"],
+    ["modular-check", "E6", "--tol", "1e-6", "--format", "json"],
+], ids=" ".join)
+def test_documented_options_exit_zero(capsys, argv):
+    status, out, _ = _run(capsys, argv)
+    assert status == 0 and out
+
+
+@pytest.mark.parametrize("argv", [["paths", "E6", "--length", "6"],
+                                  ["modular-check", "E6"]], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_tol_defaults_to_1e_9(capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    _, default, _ = _run(capsys, argv)
+    _, explicit, _ = _run(capsys, argv + ["--tol", "1e-9"])
+    assert default == explicit
+
+
 def test_domain_error_exit_one(capsys):
     status, out, err = _run(capsys, ["fusion", "E7"])
     assert status == 1

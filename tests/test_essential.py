@@ -181,6 +181,18 @@ def test_right_decomposition_table():
         assert got == want_idx, (la, lb)
 
 
+def test_decompositions_over_arrays_of_cells():
+    # row i of a call over arrays of positions is cell i's scalar call
+    ess = essential_matrices("E6")
+    a, b = np.divmod(np.arange(36), 6)
+    for decompose in (decompose_left, decompose_right):
+        rows = decompose(ess, a, b)
+        assert rows.shape[0] == 36
+        for i in range(36):
+            want = decompose(ess, int(a[i]), int(b[i]))
+            assert rows[i].tobytes() == want.tobytes(), (decompose, i)
+
+
 def test_right_worked_example():
     # transpose(E_0) . E_0 = 2 N_0 + N_2
     ess = essential_matrices("E6")

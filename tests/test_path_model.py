@@ -25,6 +25,8 @@ from adefusion.path_model import (
 )
 from adefusion.golden import E6_ESS4_PATHS, E6_PATHS7_BY_END, E6_PATHS7_TOTAL
 
+from _oracles import kernel_step_by_slices
+
 
 def test_enumerate_small():
     d = build_diagram("A", 3)
@@ -79,6 +81,22 @@ def test_enumerate_matches_sorted_rule():
             for origin in [None, *range(rank)]:
                 assert enumerate_paths(d, p, origin) == \
                     _sorted_paths(d, p, origin), (d.name, p, origin)
+    # the rest of the path window, E6 p <= 11, D6 p <= 9 and E8 p <= 10:
+    # heads of p // 2 steps, tails of one step more when p is odd
+    for fam, rank, last in (("E", 6, 11), ("D", 6, 9), ("E", 8, 10)):
+        d = build_diagram(fam, rank)
+        for p in range(9, last + 1):
+            for origin in [None, *range(rank)]:
+                assert enumerate_paths(d, p, origin, cap=p) == \
+                    _sorted_paths(d, p, origin), (d.name, p, origin)
+
+
+def test_path_index_is_built_on_first_use():
+    space = PathSpace(build_diagram("E", 6), 7, cap=7)
+    essential_dims(space)
+    assert "index" not in vars(space)
+    assert space.index == {p: i for i, p in enumerate(space.paths)}
+    assert space.index is space.index
 
 
 def test_length_cap():
@@ -370,6 +388,36 @@ def test_prefix_kernels_match_row_slice_rule(monkeypatch):
             assert np.array_equal(mine[ab], basis), (space, ab)
             assert mine[ab].shape == basis.shape, (space, ab)
             assert mine[ab].tobytes() == basis.tobytes(), (space, ab)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.3, 0.9])
+@pytest.mark.parametrize("fam, rank, last", [
+    ("E", 6, 11), ("D", 6, 9), ("E", 8, 13), ("A", 11, 10), ("D", 10, 12)])
+def test_kernel_chain_matches_the_slice_oracle(monkeypatch, fam, rank, last,
+                                               tol):
+    # every level of each origin's chain, bit for bit, whether the origins
+    # grow together or one at a time; tol 0.3 and 0.9 cut real ranks, so
+    # more blocks have no kernel column, and bipartite parity leaves
+    # blocks with no row of C B at every tol
+    d = build_diagram(fam, rank)
+    step = path_model._kernel_step
+
+    def levels(kernel_step, origin):
+        monkeypatch.setattr(path_model, "_kernel_step", kernel_step)
+        path_model._kernel_chain.cache_clear()
+        _prefix_kernels(PathSpace(d, last, origin, cap=last), tol)
+        return path_model._kernel_chain(d, tol)[2]
+
+    want = levels(kernel_step_by_slices, None)
+    for origin in [None, *range(rank)]:
+        got = levels(step, origin)
+        assert got.keys() == (want.keys() if origin is None else {origin})
+        for a, chain in got.items():
+            assert len(chain) == len(want[a]) == last + 1, (origin, a)
+            for q, (mine, ref) in enumerate(zip(chain, want[a])):
+                for b, (x, y) in enumerate(zip(mine, ref)):
+                    assert x.shape == y.shape, (origin, a, q, b)
+                    assert x.tobytes() == y.tobytes(), (origin, a, q, b)
 
 
 def _lex_rows(space, prefix):

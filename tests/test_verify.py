@@ -1,4 +1,5 @@
 import sys
+import types
 
 import pytest
 
@@ -82,6 +83,41 @@ def test_broken_layer_fails_only_its_checks(capsys, monkeypatch, exc):
         "%s: qs layer is broken" % type(exc).__name__}
     passed = sum(v == "PASS" for v in verdicts.values())
     assert last == "%d of 35 checks passed" % passed
+
+
+def test_decomposition_checks_name_the_first_failing_cell(monkeypatch):
+    ess = verify.essential_matrices("E6")
+    lp = parse_graph_name("E6").label_to_position
+    cells = list(golden.E6_LEFT_TABLE)
+    # cell 5's coefficients no longer rebuild E_a . E_b^T
+    f = ess.f.copy()
+    f[:, lp(cells[5][0]), lp(cells[5][1])] += 1
+    monkeypatch.setattr(verify, "essential_matrices",
+                        lambda graph: types.SimpleNamespace(
+                            e=ess.e, f=f, nrows=ess.nrows))
+    with pytest.raises(StructuralError, match=r"^left decomposition of "
+                       r"\(%d,%d\) does not reconstruct$"
+                       % (lp(cells[5][0]), lp(cells[5][1]))):
+        verify._decomposition_left()
+    # an earlier cell that disagrees with its frozen value is named first
+    monkeypatch.setitem(golden.E6_LEFT_TABLE, cells[2], {0: 7})
+    with pytest.raises(AssertionError,
+                       match=r"^left cell \(%d,%d\) disagrees$" % cells[2]):
+        verify._decomposition_left()
+
+
+def test_wrong_frozen_decomposition_cell_fails(capsys, monkeypatch):
+    left, right = list(golden.E6_LEFT_TABLE), list(golden.E6_RIGHT_TABLE)
+    monkeypatch.setitem(golden.E6_LEFT_TABLE, left[7], {0: 7})
+    monkeypatch.setitem(golden.E6_RIGHT_TABLE, right[4], {(0, 0): 7})
+    monkeypatch.setitem(golden.E6_RIGHT_TABLE, right[9], {(0, 0): 7})
+    status, verdicts, reasons, last, _ = _verify(capsys, "E6")
+    assert status == 1
+    assert reasons == {
+        "decomposition-left": "left cell (%d,%d) disagrees" % left[7],
+        "decomposition-right":
+            "right cell (%d,%d) does not match the frozen value" % right[4]}
+    assert last == "33 of 35 checks passed"
 
 
 def test_wrong_frozen_toric_matrix_fails(capsys, monkeypatch):
