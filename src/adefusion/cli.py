@@ -58,6 +58,12 @@ from .path_model import spanning_json
 # about 0.012 s as a table and 3.2 s as JSON, after startup.
 PATHS_BUDGET = 10_000
 BLOCK_ROWS_BUDGET = 4_000
+# A graph above its command's rank budget is refused before any work, too:
+# `fusion` and `essential` build the r^3 fusion table, and `ocneanu`,
+# `toric` and `modular-check` run the r^5 Gram check.  For scale, one
+# thread: fusion A200 takes about 2.6 s and ocneanu A100 about 2 s.
+FUSION_RANK_BUDGET = 200
+GRAM_RANK_BUDGET = 100
 DEFAULT_TOL = 1e-9
 
 
@@ -345,19 +351,21 @@ def _cmd_verify(args, parser, diagram):
 
 # -- entry point ---------------------------------------------------------
 
-# The one list of commands, with the formats and own options each takes,
-# called as fn(args, parser, diagram): a payload dict, which main wraps in
-# the envelope and encodes, or text; verify-paper adds its exit status.
+# The one list of commands: the formats, own options and rank budget of
+# each, and fn(args, parser, diagram), which returns a payload dict (main
+# wraps and encodes it) or text; verify-paper adds its exit status.
 COMMANDS = {
-    "fusion": (_cmd_fusion, ("json", "table"), ()),
-    "essential": (_cmd_essential, ("json", "table"), ()),
-    "paths": (_cmd_paths, ("json", "table"), ("origin", "length", "tol")),
-    "ocneanu": (_cmd_ocneanu, ("json", "dot", "table"), ()),
-    "toric": (_cmd_toric, ("json", "table"), ("element",)),
-    "modular-check": (_cmd_modular_check, ("json", "table"), ("tol",)),
-    "verify-paper": (_cmd_verify, ("table",), ()),
+    "fusion": (_cmd_fusion, ("json", "table"), (), FUSION_RANK_BUDGET),
+    "essential": (_cmd_essential, ("json", "table"), (), FUSION_RANK_BUDGET),
+    "paths": (_cmd_paths, ("json", "table"), ("origin", "length", "tol"),
+              None),
+    "ocneanu": (_cmd_ocneanu, ("json", "dot", "table"), (), GRAM_RANK_BUDGET),
+    "toric": (_cmd_toric, ("json", "table"), ("element",), GRAM_RANK_BUDGET),
+    "modular-check": (_cmd_modular_check, ("json", "table"), ("tol",),
+                      GRAM_RANK_BUDGET),
+    "verify-paper": (_cmd_verify, ("table",), (), None),
 }
-OWN_OPTIONS = sorted({o for _, _, taken in COMMANDS.values() for o in taken})
+OWN_OPTIONS = sorted({o for cmd in COMMANDS.values() for o in cmd[2]})
 
 # parse_args keeps nothing between calls, so one parser serves every main
 PARSER = _build_parser()
@@ -369,13 +377,16 @@ def main(argv=None):
         diagram = parse_graph_name(args.graph)
     except UnsupportedDiagramError as exc:
         PARSER.error(str(exc))
-    run, formats, taken = COMMANDS[args.command]
+    run, formats, taken, budget = COMMANDS[args.command]
     if args.format not in formats:
         PARSER.error("%s takes --format %s"
                      % (args.command, "|".join(formats)))
     for option in OWN_OPTIONS:
         if option not in taken and getattr(args, option) is not None:
             PARSER.error("%s does not take --%s" % (args.command, option))
+    if budget is not None and diagram.rank > budget:
+        PARSER.error("%s %s: rank %d, over the budget of rank %d"
+                     % (args.command, diagram.name, diagram.rank, budget))
     args.tol = DEFAULT_TOL if args.tol is None else args.tol
 
     try:

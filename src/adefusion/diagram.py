@@ -22,7 +22,7 @@ __all__ = [
     "Family", "DynkinDiagram", "SpectralData",
     "build_diagram", "graph_norm", "perron_frobenius", "q_number",
     "coxeter_exponents", "spectral_data", "parse_graph_name", "ascii_diagram",
-    "diagram_json",
+    "diagram_json", "recurrence_rows",
 ]
 
 
@@ -309,6 +309,23 @@ def coxeter_exponents(d):
     if d.family is Family.D:
         return tuple(range(1, 2 * d.rank - 2, 2)) + (d.rank - 1,)
     return _E_EXPONENTS[d.rank]
+
+
+def recurrence_rows(diagram, upto):
+    """Rows 0..upto of row_{n+1} = row_n . G - row_{n-1} from the unit row
+    at vertex 0, untruncated (entries go negative past the Coxeter
+    window); rows 0..N-2 are E_0, row m-1 for the character m."""
+    rows = np.zeros((upto + 2, diagram.rank), dtype=np.int64)
+    rows[1, 0] = 1          # after a zero row, the row before the seed
+    for n in range(2, upto + 2):
+        rows[n] = rows[n - 1] @ diagram.adjacency - rows[n - 2]
+    return rows[1:]
+
+
+def _t_classes(level):
+    """m^2 mod 4N for the characters m = 1..N-1 (0-based), N = level: as
+    T[m,m] = exp(i pi (m^2/2N + 1/4)), T is equal exactly within a class."""
+    return np.arange(1, level) ** 2 % (4 * level)
 
 
 def spectral_data(d):

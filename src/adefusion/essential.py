@@ -4,20 +4,20 @@ E_a is the (N-1) x r integer matrix whose row n counts, for each vertex b,
 the essential (backtrack-free in the strong sense) paths of length n from
 a to b; N is the Coxeter number.  Row n of E_0 obeys the two-term
 recurrence row_{n+1} = row_n . G - row_{n-1} starting from the unit row at
-the marked vertex, stops being nonzero exactly at n = N-1, and
-E_a = E_0 . N_a.  The slices F_n[a,b] = E_a[n,b] form a representation of
-the fusion algebra of the path diagram with the same Coxeter number, which
-is what the decomposition routines exploit.
+the marked vertex (diagram.recurrence_rows), stops being nonzero exactly
+at n = N-1, and E_a = E_0 . N_a.  The slices F_n[a,b] = E_a[n,b] form a
+representation of the fusion algebra of the path diagram with the same
+Coxeter number, which is what the decomposition routines exploit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagram import Family, build_diagram, json_document
+from .diagram import Family, build_diagram, json_document, recurrence_rows
 from .errors import StructuralError
-from .fusion import (_int_matmul, algebra_for, ambichiral_subalgebra,
-                     fusion_matrices)
+from .fusion import (_int_matmul, _row_blocks, algebra_for,
+                     ambichiral_subalgebra, fusion_matrices)
 
 __all__ = [
     "EssentialSet",
@@ -44,8 +44,10 @@ class EssentialSet:
             raise StructuralError(
                 "recurrence row %d of %s does not vanish"
                 % (self.nrows, self.diagram.name))
-        e0 = rows[: self.nrows]
-        self.e = _int_matmul(e0, algebra.n)        # E_a = E_0 . N_a
+        e0, n = rows[: self.nrows], algebra.n
+        self.e = np.empty((len(n), self.nrows, len(n)), dtype=np.int64)
+        for blk in _row_blocks(n):
+            self.e[blk] = _int_matmul(e0, n[blk])       # E_a = E_0 . N_a
         self.e.setflags(write=False)
         if np.any(self.e < 0):
             raise StructuralError("negative essential path count")
@@ -60,21 +62,6 @@ class EssentialSet:
 
     def __repr__(self):
         return "EssentialSet(%s)" % self.diagram.name
-
-
-def recurrence_rows(diagram, upto):
-    """Rows 0..upto of the recurrence row_{n+1} = row_n . G - row_{n-1}
-    seeded with the unit row at vertex 0, without truncation (entries go
-    negative past the Coxeter window)."""
-    r = diagram.rank
-    g = diagram.adjacency
-    rows = np.zeros((upto + 1, r), dtype=np.int64)
-    rows[0, 0] = 1
-    if upto >= 1:
-        rows[1] = rows[0] @ g
-    for n in range(2, upto + 1):
-        rows[n] = rows[n - 1] @ g - rows[n - 2]
-    return rows
 
 
 def essential_matrices(graph):
@@ -177,12 +164,9 @@ def _decompose(side, table, mats, a, b, target):
 def reduced_essential(ess):
     """Essential matrices with the columns of non-ambichiral vertices
     zeroed out."""
-    keep = set(ambichiral_subalgebra(ess.algebra))
-    out = ess.e.copy()
-    for v in range(ess.diagram.rank):
-        if v not in keep:
-            out[:, :, v] = 0
-    return out
+    keep = np.zeros(ess.diagram.rank, dtype=np.int64)
+    keep[list(ambichiral_subalgebra(ess.algebra))] = 1
+    return ess.e * keep
 
 
 @json_document

@@ -25,7 +25,8 @@ import math
 
 import numpy as np
 
-from .diagram import Family, cache_per_diagram, json_document
+from .diagram import (Family, _t_classes, cache_per_diagram, json_document,
+                      recurrence_rows)
 from .errors import NoPositiveHypergroupError, NotDefinedError, StructuralError
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 _SPLIT_CAP = 500000
+_BLOCK_ENTRIES = 2 ** 14    # per row block: bounds a stacked product's memory
 
 
 class _Fail(Exception):
@@ -48,7 +50,7 @@ class _Fail(Exception):
 class FusionAlgebra:
     def __init__(self, diagram, matrices):
         self.diagram = diagram
-        self.n = np.array(matrices, dtype=np.int64)
+        self.n = np.asarray(matrices, dtype=np.int64)
         self.n.setflags(write=False)
 
     @property
@@ -72,6 +74,13 @@ def _int_matmul(a, b):
     dtype = _exact_dtype((a, b))
     return (a.astype(dtype, copy=False)
             @ b.astype(dtype, copy=False)).astype(np.int64, copy=False)
+
+
+def _row_blocks(n):
+    """Slices of the stack n, in order, each of at most _BLOCK_ENTRIES
+    entries (one matrix at least)."""
+    step = max(1, _BLOCK_ENTRIES // n[0].size)
+    return [slice(a, a + step) for a in range(0, len(n), step)]
 
 
 def _exact_dtype(*pairs):
@@ -186,11 +195,9 @@ def _construct_d(d):
             nf2 = total - nf1
             if np.any(y < 0) or np.any(y > s) or np.any(nf2 < 0):
                 continue
-            cand = mats + [nf1, nf2]
-            _verify_ring(d, cand)
+            found.append(_verify_ring(d, mats + [nf1, nf2]))
         except _Fail:
             continue
-        found.append(cand)
     if not found:
         raise _Fail("no nonnegative integer fork split closes the ring")
     if len(found) > 1:
@@ -206,9 +213,9 @@ def _ring_generators(d):
 
 
 def _verify_ring(d, mats):
-    """Refuse mats unless they are the fusion matrices of a commutative
-    ring with nonnegative integer structure constants, unit 0 and
-    generator 1.
+    """mats as one int64 stack, refused unless they are the fusion
+    matrices of a commutative ring with nonnegative integer structure
+    constants, unit 0 and generator 1.
 
     Commutation is checked only against the N_s, s in S =
     _ring_generators(d), which is |S|.r products instead of r^2.  e_0 is
@@ -253,13 +260,18 @@ def _verify_ring(d, mats):
         raise _Fail("row 0 of matrix %d is not a unit vector" % bad[0])
     if not np.array_equal(n, n.transpose(1, 0, 2)):
         raise _Fail("structure constants are not symmetric")
-    # n @ n[s] is exact wherever n @ n is, and float64 products are
-    # compared as they are, with no int64 copy
-    n = n.astype(_exact_dtype((n, n)))
+    # n @ n[s] is exact wherever n @ n is; float64 products are compared
+    # as they are, one row block of n at a time, in ascending a
+    dtype = _exact_dtype((n, n))
     for s in _ring_generators(d):
-        bad = np.flatnonzero(np.any(n @ n[s] != n[s] @ n, axis=(1, 2)))
-        if bad.size:
-            raise _Fail("matrices %d and %d do not commute" % (bad[0], s))
+        ns = n[s].astype(dtype)
+        for blk in _row_blocks(n):
+            m = n[blk].astype(dtype)
+            bad = np.flatnonzero(np.any(m @ ns != ns @ m, axis=(1, 2)))
+            if bad.size:
+                raise _Fail("matrices %d and %d do not commute"
+                            % (blk.start + bad[0], s))
+    return n
 
 
 # positive structures exist exactly here; a failure elsewhere is a bug
@@ -280,7 +292,7 @@ def fusion_matrices(diagram):
         else:
             mats = (_construct_e(diagram) if diagram.family is Family.E
                     else _long_branch(diagram.adjacency, diagram.rank - 1))
-            _verify_ring(diagram, mats)
+            mats = _verify_ring(diagram, mats)
     except _Fail as exc:
         if _expected_positive(diagram):
             raise StructuralError(
@@ -329,22 +341,23 @@ def fusion_closed_subsets(algebra):
 
 @cache_per_diagram
 def ambichiral_subalgebra(d):
-    """The subset of vertices spanning the ambichiral part: every vertex
-    for an A diagram, the multiplicity-free closed subset of size 3 for
-    E6 and of size 2 for E8.  Not defined for the other families.  Takes
-    the algebra, its diagram or its name, and keeps the subset."""
-    if d.family is Family.A:
-        return tuple(range(d.rank))
-    if d.family is not Family.E or d.rank == 7:
+    """J, the vertices a of trivial twist (Kirillov-Ostrik): the characters
+    m with E_0[m-1, a] != 0 all lie in one class of diagram._t_classes.  J
+    must be closed and multiplicity-free; D and E7 are refused before any
+    work.  Takes the algebra, its diagram or its name; the J is kept."""
+    if d.family is Family.D or d.name == "E7":
         raise NotDefinedError(
             "ambichiral subalgebra is not defined for %s" % d.name)
-    algebra = fusion_matrices(d)
-    size = {6: 3, 8: 2}[d.rank]
-    picks = [s for s in fusion_closed_subsets(algebra) if len(s) == size
-             and algebra.n[np.ix_(s, s, s)].max() <= 1]
-    if len(picks) != 1:
-        raise StructuralError("ambichiral subset of %s is not unique" % d.name)
-    return picks[0]
+    classes = _t_classes(d.coxeter_number).tolist()
+    e0 = recurrence_rows(d, d.coxeter_number - 2)
+    amb = tuple(a for a, col in enumerate(e0.T.tolist())
+                if len({c for c, k in zip(classes, col) if k}) == 1)
+    n = fusion_matrices(d).n
+    for rows in (n[a, amb] for a in amb):      # N_a[b, :], a and b in J
+        if rows.max() > 1 or rows.sum() > rows[:, amb].sum():
+            raise StructuralError("ambichiral subset of %s is not closed "
+                                  "and multiplicity-free" % d.name)
+    return amb
 
 
 def _block_order(algebra):
@@ -353,9 +366,8 @@ def _block_order(algebra):
         amb = set(ambichiral_subalgebra(algebra))
     except NotDefinedError:
         amb = set(range(d.rank))
-    by_label = sorted(range(d.rank), key=lambda v: int(d.vertex_labels[v]))
-    return [v for v in by_label if v in amb] + \
-           [v for v in by_label if v not in amb]
+    return sorted(range(d.rank),
+                  key=lambda v: (v not in amb, int(d.vertex_labels[v])))
 
 
 def fusion_table_ascii(algebra):

@@ -4,7 +4,7 @@ The level is the Coxeter number N.  S and T act on the N-1 characters
 indexed 1..N-1 (stored 0-based): S[m,n] is a normalized sine kernel and T
 a diagonal of phases, satisfying S^2 = -1, S^4 = 1, (ST)^3 = 1, with the
 order of T computed exactly in integers.  Commutation of an integer W
-with T is decided exactly, with S by a float tolerance.
+with T is decided exactly (diagram._t_classes), with S by a tolerance.
 
 A toric matrix is attached to every canonical quantum symmetry element
 a(x)b as E_a . (E^r_b)^T, the reduced essential matrix keeping only
@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .diagram import cache_per_diagram, json_document
+from .diagram import _t_classes, cache_per_diagram, json_document
 from .essential import essential_matrices, reduced_essential
 from .ocneanu import quantum_symmetry_algebra
 
@@ -80,11 +80,11 @@ class ModularRep:
         }
 
     def commutes_with_t(self, w):
-        """Exact [W, T] = 0 for an integer W: T[m,m] = T[n,n] exactly when
-        m^2 = n^2 mod 4N (m, n 1-based), for every nonzero W[m,n]."""
+        """Exact [W, T] = 0 for an integer W: every nonzero W[m,n] joins
+        two characters of one class of diagram._t_classes."""
+        classes = _t_classes(self.level)
         m, n = np.nonzero(w)
-        diff = (m + 1) ** 2 - (n + 1) ** 2
-        return bool(np.all(diff % (4 * self.level) == 0))
+        return bool(np.array_equal(classes[m], classes[n]))
 
     def __repr__(self):
         return "ModularRep(level=%d)" % self.level

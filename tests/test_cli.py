@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 import adefusion
 from adefusion import cli, path_model
-from adefusion.cli import (BLOCK_ROWS_BUDGET, PATHS_BUDGET, _encode,
+from adefusion.cli import (BLOCK_ROWS_BUDGET, FUSION_RANK_BUDGET,
+                           GRAM_RANK_BUDGET, PATHS_BUDGET, _encode,
                            _matrix_lines, main)
 from adefusion.diagram import diagram_json, parse_graph_name, perron_frobenius
 from adefusion.essential import essential_json, essential_matrices
@@ -286,6 +287,41 @@ def test_paths_over_budget(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "2014924356 paths, over the budget of %d" % PATHS_BUDGET in err
+
+
+@pytest.mark.parametrize("command, graph, budget", [
+    ("fusion", "A1000", FUSION_RANK_BUDGET),
+    ("essential", "D202", FUSION_RANK_BUDGET),
+    ("ocneanu", "A200", GRAM_RANK_BUDGET),
+    ("toric", "A101", GRAM_RANK_BUDGET),
+    ("modular-check", "A101", GRAM_RANK_BUDGET),
+])
+def test_rank_over_budget_refused_before_any_work(capsys, monkeypatch,
+                                                  command, graph, budget):
+    def no_work(*args):
+        raise AssertionError("%s ran on %s" % (command, graph))
+
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (no_work,) + cli.COMMANDS[command][1:])
+    with pytest.raises(SystemExit) as exc:
+        main([command, graph])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "%s %s: rank %s, over the budget of rank %d" % (
+        command, graph, graph[1:], budget) in err
+
+
+@pytest.mark.parametrize("command, graph", [
+    ("fusion", "A%d" % FUSION_RANK_BUDGET),
+    ("essential", "D%d" % FUSION_RANK_BUDGET),
+    ("ocneanu", "A%d" % GRAM_RANK_BUDGET),
+    ("modular-check", "A%d" % GRAM_RANK_BUDGET),
+])
+def test_rank_at_budget_runs(capsys, monkeypatch, command, graph):
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (lambda *args: "ran",) + cli.COMMANDS[command][1:])
+    assert _run(capsys, [command, graph]) == (0, "ran\n", "")
 
 
 def test_paths_length_bound_holds_for_a1(capsys):

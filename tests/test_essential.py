@@ -202,6 +202,15 @@ def test_right_worked_example():
     assert np.array_equal(target, 2 * alg.matrix(0) + alg.matrix(_pos(d, 2)))
 
 
+@pytest.mark.parametrize("graph", ["A60", "D30", "E8"])
+def test_essential_matrices_in_row_blocks_equal_one_product(graph):
+    # A60 takes 15 row blocks of E_0 . N_a, D30 two, E8 one
+    ess = essential_matrices(graph)
+    e0 = recurrence_rows(ess.diagram, ess.nrows)[:ess.nrows]
+    assert ess.e.dtype == np.int64
+    assert np.array_equal(ess.e, np.einsum("nb,abc->anc", e0, ess.algebra.n))
+
+
 def test_reduced_essential_zeroes_chiral_columns():
     ess = essential_matrices("E6")
     red = reduced_essential(ess)

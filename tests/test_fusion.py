@@ -1,3 +1,6 @@
+import ast
+import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 import adefusion
 from adefusion import (
     NoPositiveHypergroupError,
+    NotDefinedError,
     StructuralError,
     ambichiral_subalgebra,
     build_diagram,
@@ -22,6 +26,7 @@ from adefusion import (
     fusion_table_ascii,
     multiply,
 )
+from adefusion import diagram, essential, fusion, modular
 from adefusion.fusion import (
     _construct_d,
     _exact_dtype,
@@ -305,6 +310,19 @@ def test_perturbed_table_refused_as_by_the_old_loop(graph, data):
     assert accepted == _ring_by_closure_loop(n)
 
 
+@pytest.mark.parametrize("a, b", [(2, 3), (13, 42), (57, 58)])
+def test_ring_check_in_row_blocks_names_the_first_pair(a, b):
+    # A60 is checked in 15 row blocks of 4 matrices; the refusal must name
+    # the first matrix that the one stacked product over all of n finds
+    alg = fusion_matrices(build_diagram("A", 60))
+    n = alg.n.copy()
+    n[a, b, 7] = n[b, a, 7] = n[a, b, 7] + 1
+    first = np.flatnonzero(np.any(n @ n[1] != n[1] @ n, axis=(1, 2)))[0]
+    with pytest.raises(_Fail, match="^matrices %d and 1 do not commute$"
+                       % first):
+        _verify_ring(alg.diagram, list(n))
+
+
 @given(st.sampled_from(PERTURBED), st.data())
 def test_perturbed_table_ring_generators_match_rank_over_q(graph, data):
     # the tables that reach the commutation check keep n[0], n[1] = G and
@@ -390,6 +408,91 @@ def test_e8_ambichiral_subset():
 
 def test_a_ambichiral_is_everything():
     assert ambichiral_subalgebra(algebra_for("A5")) == (0, 1, 2, 3, 4)
+
+
+def _ambichiral_by_search(alg):
+    """Reference for the twist rule, the subset as it was found before it:
+    every vertex on A, else the one multiplicity-free closed subset of
+    size 3 on E6 and of size 2 on E8."""
+    d = alg.diagram
+    if d.family.value == "A":
+        return tuple(range(d.rank))
+    picks = [s for s in fusion_closed_subsets(alg)
+             if len(s) == {6: 3, 8: 2}[d.rank]
+             and alg.n[np.ix_(s, s, s)].max() <= 1]
+    assert len(picks) == 1, picks
+    return picks[0]
+
+
+@pytest.mark.parametrize("graph", ["A%d" % n for n in range(1, 61)]
+                         + ["E6", "E8"])
+def test_ambichiral_from_the_twist_matches_the_closed_subset_search(graph):
+    alg = algebra_for(graph)
+    assert ambichiral_subalgebra(alg) == _ambichiral_by_search(alg)
+
+
+@pytest.mark.parametrize("graph", ["D%d" % n for n in range(4, 41)] + ["E7"])
+def test_ambichiral_refused_on_d_and_e7_before_any_work(graph, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("ambichiral_subalgebra did work on " + graph)
+
+    monkeypatch.setattr(fusion, "fusion_matrices", no_work)
+    monkeypatch.setattr(fusion, "recurrence_rows", no_work)
+    with pytest.raises(NotDefinedError) as exc:
+        ambichiral_subalgebra(graph)
+    assert str(exc.value) == \
+        "ambichiral subalgebra is not defined for %s" % graph
+
+
+@pytest.mark.parametrize("merged", [
+    # characters 2, 6 and 8 reach E6's vertex 1, and J = (0, 1, 4) holds
+    # 1.1 = 0 + 2
+    (1, 5, 7),
+    # one class for every character: J is every vertex, and 2.2 holds 2
+    # twice
+    range(11),
+])
+def test_ambichiral_refuses_a_subset_that_is_not_closed_or_has_multiples(
+        monkeypatch, merged):
+    classes = diagram._t_classes(12).copy()
+    classes[list(merged)] = classes[merged[0]]
+    monkeypatch.setattr(fusion, "_t_classes", lambda level: classes)
+    with pytest.raises(StructuralError,
+                       match="^ambichiral subset of E6 is not closed and "
+                             "multiplicity-free$"):
+        ambichiral_subalgebra.__wrapped__(build_diagram("E", 6))
+
+
+def test_one_owner_for_the_recurrence_and_the_t_classes():
+    assert essential.recurrence_rows is diagram.recurrence_rows
+    assert fusion._t_classes is diagram._t_classes
+    assert modular._t_classes is diagram._t_classes
+    # fusion reads E_0 from diagram: essential imports fusion, not back
+    imported = {node.module for node in ast.walk(ast.parse(
+        inspect.getsource(fusion))) if isinstance(node, ast.ImportFrom)}
+    assert "essential" not in imported
+
+
+# sha256 of fusion_table_ascii as the closed-subset search ordered it
+_TABLE_DIGESTS = {
+    "E6": "cd7661d36dae927b813593d1b3a2fe92d65eccda19be556c681f7b0f061c69d6",
+    "A11": "cba008a46e89fdf660ada5e551b75daf0cb7f92001d83e00036e11f8e7b1dbcd",
+    "D4": "d0d92c711c75e0ececc6bce9100b2261c6215eeebe42267e57fdd4d25ed5406a",
+    "D6": "a4b40c0e05f5dc332681a88672d0f792bad078035ce9d105529ce74f01fbeea2",
+    "D8": "bcae2cae44f13f5c7e80e2f5855ae91d51725696b8b7d0a067ac2f4d1d87d83e",
+    "D10": "8293007edae9bb1fde628c0651b091a1fd3db8c97c105780990191134d0fd587",
+    "D12": "5904fea244de4bac82aadcbac7f2a524755c8b0d00280d945fa0fd44e08b86fa",
+    "D14": "d882f431152921b62dd08f1d225f3401b8e03323a91b7774a9dac9951afe87d9",
+    "D16": "b94695fb7be1f48cac321284fbf4da4707efda81ded6b8a49f4f10e5ee621d1c",
+    "D18": "b843cdacfd4f71b3c186df945bf9e5ab3023b1957ff69e9d0d7130f62ab5dc8c",
+    "D20": "b378e2b3085938b3769214bb2fbe3ef5e8ccabba4d7ec218231993702b0b04bb",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(_TABLE_DIGESTS))
+def test_table_ascii_bytes_unchanged(graph):
+    text = fusion_table_ascii(algebra_for(graph))
+    assert hashlib.sha256(text.encode()).hexdigest() == _TABLE_DIGESTS[graph]
 
 
 def test_closed_subsets_e6():

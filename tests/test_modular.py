@@ -6,6 +6,7 @@ from adefusion import (
     build_diagram,
     fusion_matrices,
     modular_invariance_check,
+    modular_rep,
     parse_graph_name,
     partition_function,
     quantum_symmetry_algebra,
@@ -128,6 +129,23 @@ def test_exact_t_commutation():
             res = modular_invariance_check(graph, element=x)
             assert rep.commutes_with_t(w) == (res["t_deviation"] < 1e-9)
             assert res["t_deviation"] == _t_deviation(rep, w)
+
+
+def _commutes_with_t_by_differences(level, w):
+    """Reference for the class rule: T[m,m] = T[n,n] exactly when
+    m^2 - n^2 = 0 mod 4N, m and n 1-based, for every nonzero W[m,n]."""
+    m, n = np.nonzero(w)
+    return bool(np.all(((m + 1) ** 2 - (n + 1) ** 2) % (4 * level) == 0))
+
+
+@pytest.mark.parametrize("graph", ["E6", "E8"]
+                         + ["A%d" % n for n in range(11, 25)])
+def test_t_classes_give_the_verdicts_of_the_differences(graph):
+    rep = modular_rep(graph)
+    verdicts = [rep.commutes_with_t(w) for w in toric_matrices(graph)]
+    assert verdicts == [_commutes_with_t_by_differences(rep.level, w)
+                        for w in toric_matrices(graph)]
+    assert sum(verdicts) == 1           # only the invariant 0(x)0
 
 
 def test_partition_function_strings():

@@ -10,6 +10,7 @@ from adefusion import (
     normal_form,
     quantum_symmetry_algebra,
     s_matrices,
+    toric_matrices,
 )
 from adefusion import ocneanu
 from adefusion.fusion import fusion_matrices
@@ -165,6 +166,57 @@ def test_undefined_graphs():
         quantum_symmetry_algebra("D4")
     with pytest.raises(NoPositiveHypergroupError):
         quantum_symmetry_algebra("E7")
+
+
+# golden-free certificates: identities that hold on every graph with
+# quantum symmetries, with Z the toric matrix of 0(x)0, the modular invariant
+_CERTIFIED = ["A%d" % n for n in range(2, 31)] + ["E6"]
+_E8_ITEM_1 = pytest.param("E8", marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: E8's canonical basis holds sums "
+    "of simple objects, so |A| + |L| = 7 and generator_matrices() raises"))
+
+
+@pytest.mark.parametrize("graph", _CERTIFIED + ["E8"])
+def test_dimension_is_the_sum_of_squares_of_the_invariant(graph):
+    qs = quantum_symmetry_algebra(graph)
+    z = toric_matrices(graph)[qs.element(0, 0)]
+    assert qs.dim == int((z * z).sum())
+    assert int(np.trace(z)) == qs.algebra.rank
+
+
+@pytest.mark.parametrize("graph", _CERTIFIED + [_E8_ITEM_1])
+def test_chiral_classes_fill_the_rank(graph):
+    qs = quantum_symmetry_algebra(graph)
+    size = {k: len(v) for k, v in qs.partition.items()}
+    assert size["A"] == len(qs.ambichiral)
+    assert size["A"] + size["L"] == qs.algebra.rank
+    assert size["A"] + size["R"] == qs.algebra.rank
+
+
+def _chebyshev(x, k):
+    """U_0(x) .. U_k(x), stacked: U_0 = 1, U_1 = x and
+    U_{i+1} = x.U_i - U_{i-1}."""
+    u = [np.eye(len(x), dtype=np.int64), x]
+    while len(u) <= k:
+        u.append(x @ u[-1] - u[-2])
+    return np.stack(u[:k + 1])
+
+
+@pytest.mark.parametrize("graph", _CERTIFIED + [_E8_ITEM_1])
+def test_toric_matrices_from_the_chiral_generators(graph):
+    # the A_{N-1} x A_{N-1} nimrep on the Ocneanu algebra: V_ij =
+    # U_i(L).U_j(R) for the generator matrices L and R, and W_x[i, j] =
+    # V_ij[0(x)0, x] for i, j = 0 .. N-2
+    qs = quantum_symmetry_algebra(graph)
+    level = qs.diagram.coxeter_number
+    left, right = qs.generator_matrices()
+    assert np.array_equal(left @ right, right @ left)
+    ul, ur = _chebyshev(left, level - 1), _chebyshev(right, level - 1)
+    assert not ul[-1].any() and not ur[-1].any()
+    v = np.einsum("ixy,jyz->ijxz", ul[:-1], ur[:-1])
+    assert (v >= 0).all()
+    w = np.moveaxis(v[:, :, qs.element(0, 0)], -1, 0)
+    assert np.array_equal(w, toric_matrices(graph))
 
 
 def _two_stage_basis(qs):
