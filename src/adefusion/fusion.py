@@ -108,11 +108,15 @@ def _exact_dtype(*pairs):
 
 
 def _long_branch(g, k):
-    """N_0 .. N_k along the long branch: N_{j+1} = N_j.G - N_{j-1}."""
-    mats = [np.eye(len(g), dtype=np.int64), g.copy()]
-    for _ in range(k - 1):
-        mats.append(_int_matmul(mats[-1], g) - mats[-2])
-    return mats[:k + 1]
+    """N_0 .. N_k along the long branch, N_{j+1} = N_j.G - N_{j-1}, as the
+    first k + 1 matrices of an r x r x r int64 stack: the table that the
+    ring check and the algebra keep, uncopied, once the rest is filled."""
+    n = np.empty((len(g),) + g.shape, dtype=np.int64)
+    n[0] = np.eye(len(g), dtype=np.int64)
+    n[1:2] = g                  # no N_1 when k = 0
+    for j in range(1, k):
+        np.subtract(_int_matmul(n[j], g), n[j - 1], out=n[j + 1])
+    return n
 
 
 def _forced_rows(d, target, a):
@@ -137,13 +141,13 @@ def _construct_e(d):
     g = d.adjacency
     r = d.rank
     (t,) = d.neighbors(r - 1)      # the branch vertex's one neighbour
-    mats = _long_branch(g, t)
+    n = _long_branch(g, t)
     # on E6-E8 the equations G.N_b = N_t force every row of N_b
-    nb = np.array(_forced_rows(d, mats[t], r - 1))
-    mats.append(g @ mats[t] - mats[t - 1] - nb)
-    while len(mats) < r - 1:
-        mats.append(mats[-1] @ g - mats[-2])
-    return mats + [nb]
+    n[r - 1] = _forced_rows(d, n[t], r - 1)
+    n[t + 1] = g @ n[t] - n[t - 1] - n[r - 1]
+    for j in range(t + 1, r - 2):
+        n[j + 1] = n[j] @ g - n[j - 1]
+    return n
 
 
 def _construct_d(d):
@@ -151,9 +155,9 @@ def _construct_d(d):
     r = d.rank
     f = r - 3          # fork base
     f1, f2 = r - 2, r - 1
-    mats = _long_branch(g, f)
-    nf = mats[f]
-    total = g @ nf - mats[f - 1]       # N_f1 + N_f2
+    n = _long_branch(g, f)
+    nf = n[f]
+    total = g @ nf - n[f - 1]       # N_f1 + N_f2
     if np.any(total < 0):
         raise _Fail("negative entry in fork sum")
 
@@ -190,19 +194,22 @@ def _construct_d(d):
     ys[:, f1] = t[f] - ys[:, f - 1] - ys[:, f2]
     found = []
     for y in ys[np.all(ys @ g == t, axis=1)]:
+        nf1 = np.vstack(x + [y, s - y])
+        nf2 = total - nf1
+        if np.any(y < 0) or np.any(y > s) or np.any(nf2 < 0):
+            continue
+        n[f1], n[f2] = nf1, nf2
         try:
-            nf1 = np.vstack(x + [y, s - y])
-            nf2 = total - nf1
-            if np.any(y < 0) or np.any(y > s) or np.any(nf2 < 0):
-                continue
-            found.append(_verify_ring(d, mats + [nf1, nf2]))
+            _verify_ring(d, n)
         except _Fail:
             continue
+        found.append((nf1, nf2))
     if not found:
         raise _Fail("no nonnegative integer fork split closes the ring")
     if len(found) > 1:
         raise StructuralError("fork split is not unique for %s" % d.name)
-    return found[0]
+    n[f1], n[f2] = found[0]
+    return n
 
 
 def _ring_generators(d):
@@ -247,7 +254,7 @@ def _verify_ring(d, mats):
     """
     g = d.adjacency
     r = d.rank
-    n = np.array(mats, dtype=np.int64)
+    n = np.asarray(mats, dtype=np.int64)
     eye = np.eye(r, dtype=np.int64)
     if np.any(n < 0):
         raise _Fail("negative structure constant")

@@ -137,27 +137,16 @@ def modular_invariance_check(graph, element=None, tol=1e-9):
 def _blocks_of(w):
     """Partition of the character indices under the 0/1 block pattern of
     w, or None if w has no such structure."""
-    n = w.shape[0]
     if np.any((w != 0) & (w != 1)) or not np.array_equal(w, w.T):
         return None
-    live = [m for m in range(n) if w[m, m] == 1]
-    seen = set()
-    blocks = []
-    for m in live:
-        if m in seen:
-            continue
-        members = tuple(int(x) for x in np.nonzero(w[m])[0])
-        blocks.append(members)
-        seen.update(members)
-    # every nonzero entry must come from exactly these diagonal blocks
-    rebuilt = np.zeros_like(w)
-    for members in blocks:
-        for i in members:
-            for j in members:
-                rebuilt[i, j] = 1
-    if not np.array_equal(rebuilt, w):
+    # one indicator row per block: the distinct rows of w where it has a 1
+    # on the diagonal; w must be the sum of the blocks' squares, so
+    # overlapping blocks fail
+    rows = list(dict.fromkeys(map(tuple, w[np.diag(w) == 1].tolist())))
+    ind = np.array(rows, dtype=w.dtype).reshape(len(rows), len(w))
+    if not np.array_equal(ind.T @ ind, w):
         return None
-    return blocks
+    return [tuple(i for i, x in enumerate(row) if x) for row in rows]
 
 
 def partition_function(graph):

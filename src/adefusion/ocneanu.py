@@ -15,8 +15,8 @@ image in the quotient.
 
 The canonical basis is still the greedy one: the first r^2/|J| pairs in
 position order that stay independent modulo the radical, i.e. whose rows
-of C are independent.  Independence is found modulo the prime 2^31 - 1
-(_Span) and certified over Q.  The normal forms solve
+of C are independent.  Independence is found in floats, certified
+exactly (_greedy_rows).  The normal forms solve
 nf . C[canonical] = C; they are found in floats, rounded and verified
 exactly in integers, and no pair's normal form may use a canonical pair
 after it, which makes the basis the greedy one over Q.  The pairs a(x)0
@@ -54,52 +54,25 @@ __all__ = [
     "ocneanu_json",
 ]
 
-_P = 2 ** 31 - 1            # the prime of _Span
-
-
-def _eliminate(v, row, p):
-    """v -= v[p] * row modulo _P, in place; row[p] = 1, so v loses p."""
-    coef = v[p]
-    for c, x in row.items():
-        y = (v.get(c, 0) - coef * x) % _P
-        if y:
-            v[c] = y
-        else:
-            v.pop(c, None)
-
-
-class _Span:
-    """A subspace of F_P^k, P = _P, grown one vector at a time.
-
-    Vectors are dicts {column: int}.  Each row is kept reduced: its pivot
-    entry is 1 and its other entries lie off every pivot column, so
-    residue() is a canonical representative modulo the span.  Entries
-    are Python ints, so no product can overflow.
-    """
-
-    def __init__(self):
-        self.rows = {}      # pivot column -> row
-
-    def residue(self, vec):
-        """vec modulo the span, without its zero entries."""
-        v = {c: x % _P for c, x in vec.items() if x % _P}
-        for p in [c for c in v if c in self.rows]:
-            _eliminate(v, self.rows[p], p)
-        return v
-
-    def insert(self, vec):
-        """Add vec to the span.  Returns True if the rank grew."""
-        row = self.residue(vec)
-        if not row:
-            return False
-        p = min(row)
-        inv = pow(row[p], -1, _P)
-        row = {c: x * inv % _P for c, x in row.items()}
-        for old in self.rows.values():
-            if p in old:
-                _eliminate(old, row, p)
-        self.rows[p] = row
-        return True
+def _greedy_rows(m, k):
+    """The first k rows of the integer matrix m, in order, that are each
+    independent of the rows kept before them, by a float Gram-Schmidt.
+    With g the product of the kept rows' squared residuals, g . n2 is the
+    Gram determinant of the kept rows and the next one, an integer: at
+    least 1 if that row is independent, 0 up to rounding if not.  The
+    caller certifies the pick exactly."""
+    q, picks, g = np.zeros((k, m.shape[1])), [], 1.0
+    for i, row in enumerate(m.astype(np.float64)):
+        if len(picks) == k:
+            break
+        for _ in range(2):              # twice, to stay orthogonal in floats
+            row -= (q @ row) @ q
+        n2 = row @ row
+        if g * n2 > 0.5:
+            q[len(picks)] = row / np.sqrt(n2)
+            picks.append(i)
+            g *= n2
+    return picks
 
 
 class _ReadOnlyDict(dict):
@@ -175,17 +148,14 @@ class QuantumSymmetries:
         # a pair is independent of the earlier pairs in the quotient exactly
         # when its row of C is; C holds the identity at the simple objects,
         # so the greedy basis has dim pairs and its block of C is invertible
-        span = _Span()
-        canonical = [p for p, row in enumerate(gram_c.tolist())
-                     if len(span.rows) < self.dim
-                     and span.insert(dict(enumerate(row)))]
+        canonical = _greedy_rows(gram_c, self.dim)
         self.canonical = tuple(divmod(p, r) for p in canonical)
         base = gram_c[canonical]
         nf = np.rint(np.linalg.solve(base.T, gram_c.T).T).astype(np.int64)
         if not np.array_equal(nf @ base, gram_c):
             raise StructuralError("normal forms do not verify exactly")
         # each pair lies in the span of the canonical pairs up to it, over
-        # Q, so a pair skipped modulo P is dependent over Q as well
+        # Q, so a pair skipped in floats is dependent over Q as well
         if nf[np.arange(r * r)[:, None] < canonical].any():
             raise StructuralError("the canonical basis is not greedy over Q")
         nf = nf.reshape(r, r, self.dim)

@@ -182,7 +182,7 @@ def fork_split_by_pinned_solve(d):
     r = d.rank
     f = r - 3
     f1, f2 = r - 2, r - 1
-    mats = _long_branch(g, f)
+    mats = list(_long_branch(g, f)[:f + 1])
     nf = mats[f]
     total = g @ nf - mats[f - 1]
     if np.any(total < 0):

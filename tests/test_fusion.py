@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +46,6 @@ from adefusion.golden import (
     E6_FUSION_CELLS,
     E6_N,
 )
-from adefusion.ocneanu import _Span
 
 from _oracles import (
     SparseRREF,
@@ -269,28 +269,6 @@ def test_ring_generators_match_rank_over_q():
             cyclic_generators_over_q(alg.n), graph
 
 
-@given(st.data())
-def test_span_accepts_what_the_rref_oracle_accepts(data):
-    # vectors of at most 6 entries, each a small combination of at most two
-    # base vectors with entries in [-3, 3], so every minor is below
-    # (12 . 6^(1/2))^6 < 2^31 - 1 and ranks modulo that prime are ranks
-    # over Q
-    cols = data.draw(st.integers(1, 6))
-    entry = st.integers(-3, 3)
-    base = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                              min_size=1, max_size=5))
-    picks = st.tuples(st.integers(-2, 2), st.sampled_from(base),
-                      st.integers(-2, 2), st.sampled_from(base))
-    vecs = [[a * x + b * y for x, y in zip(u, w)]
-            for a, u, b, w in data.draw(st.lists(picks, max_size=12))]
-    vecs = data.draw(st.permutations(base + vecs))
-    span, oracle = _Span(), SparseRREF(cols)
-    got = [span.insert(dict(enumerate(v))) for v in vecs]
-    assert got == [oracle.insert(dict(enumerate(v))) for v in vecs]
-    assert len(span.rows) == oracle.rank
-    assert sorted(span.rows) == sorted(oracle.rows)
-
-
 PERTURBED = [("A", 7), ("A", 12), ("D", 6), ("D", 8), ("D", 10), ("E", 6),
              ("E", 8)]
 
@@ -321,6 +299,19 @@ def test_ring_check_in_row_blocks_names_the_first_pair(a, b):
     with pytest.raises(_Fail, match="^matrices %d and 1 do not commute$"
                        % first):
         _verify_ring(alg.diagram, list(n))
+
+
+def test_fusion_matrices_build_the_a_table_in_one_copy():
+    # the long branch is written into the stack that the ring check and the
+    # algebra keep, so the build holds one r^3 table at its peak, not two
+    d = build_diagram("A", 60)
+    tracemalloc.start()
+    try:
+        kept = fusion_matrices.__wrapped__(d).n.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * kept, peak / kept
 
 
 @given(st.sampled_from(PERTURBED), st.data())

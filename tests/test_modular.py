@@ -16,7 +16,7 @@ from adefusion import (
     verlinde_t,
 )
 from adefusion.fusion import algebra_for
-from adefusion.modular import _t_order
+from adefusion.modular import _blocks_of, _t_order
 from adefusion.golden import (
     E6_PARTITION_FUNCTION,
     E6_S51,
@@ -152,6 +152,15 @@ def test_partition_function_strings():
     assert partition_function("E6") == E6_PARTITION_FUNCTION
     diag = "+".join("|χ%d|²" % n for n in range(1, 12))
     assert partition_function("A11") == diag
+
+
+def test_blocks_must_sum_to_the_invariant():
+    # the two blocks (0, 1) and (1, 2) cover this W, but their squares sum
+    # to 2 at (1, 1), where W has 1
+    overlap = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    assert _blocks_of(overlap) is None
+    disjoint = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    assert _blocks_of(disjoint) == [(0, 2), (1,)]
 
 
 def test_toric_unit_row_gives_dims():
