@@ -41,7 +41,7 @@ from . import __version__, verify
 from .diagram import parse_graph_name
 from .errors import AdeError, UnsupportedDiagramError
 from .essential import _count_walk, essential_json, essential_matrices
-from .fusion import algebra_for, fusion_json, fusion_table_ascii
+from .fusion import fusion_json, fusion_matrices, fusion_table_ascii
 from .modular import (_toric_matrices, modular_invariance_check, modular_json,
                       modular_rep, partition_function)
 from .ocneanu import (cayley_dot, element_dims, ocneanu_json,
@@ -220,14 +220,14 @@ def _wrap_json(args, graph_name, payload):
 
 
 def _cmd_fusion(args, parser, diagram):
-    algebra = algebra_for(diagram)
+    algebra = fusion_matrices(diagram)
     if args.format == "json":
         return fusion_json.arrays(algebra)
     return fusion_table_ascii(algebra)
 
 
 def _cmd_essential(args, parser, diagram):
-    ess = essential_matrices(algebra_for(diagram))
+    ess = essential_matrices(diagram)
     if args.format == "json":
         return essential_json.arrays(ess)
     return "\n\n".join(_titled_matrix("E_%s" % label, e)

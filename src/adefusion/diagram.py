@@ -135,13 +135,11 @@ def _build(family, rank):
 def parse_graph_name(text):
     """Parse strings like "E6" or "A11" into a diagram."""
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in "ADE":
+    family, rank = text[:1].upper(), text[1:]
+    # int() would also take "1_0", "+5", " 6" and non-ASCII digits
+    if family not in "ADE" or not (rank.isascii() and rank.isdigit()):
         raise UnsupportedDiagramError("cannot parse graph name %r" % (text,))
-    try:
-        rank = int(text[1:])
-    except ValueError:
-        raise UnsupportedDiagramError("cannot parse graph name %r" % (text,))
-    return build_diagram(text[0].upper(), rank)
+    return build_diagram(family, int(rank))
 
 
 def cache_per_diagram(fn):

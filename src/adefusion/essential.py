@@ -16,8 +16,8 @@ import numpy as np
 
 from .diagram import Family, build_diagram, json_document, recurrence_rows
 from .errors import StructuralError
-from .fusion import (_int_matmul, _row_blocks, algebra_for,
-                     ambichiral_subalgebra, fusion_matrices)
+from .fusion import (_int_matmul, _row_blocks, ambichiral_subalgebra,
+                     fusion_matrices)
 
 __all__ = [
     "EssentialSet",
@@ -65,7 +65,7 @@ class EssentialSet:
 
 
 def essential_matrices(graph):
-    return EssentialSet(algebra_for(graph))
+    return EssentialSet(fusion_matrices(graph))
 
 
 def fused_adjacency(ess):

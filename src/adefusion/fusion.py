@@ -413,10 +413,3 @@ def fusion_json(algebra):
         "labels": list(d.vertex_labels),
         "matrices": algebra.n,
     }
-
-
-def algebra_for(name_or_diagram):
-    """Convenience: accept a graph name, a diagram, or an algebra."""
-    if isinstance(name_or_diagram, FusionAlgebra):
-        return name_or_diagram
-    return fusion_matrices(name_or_diagram)

@@ -13,13 +13,16 @@ objects, Gram = C.C^T is checked exactly, block by block, so every pair is
 the sum of the simple objects its row of C names, and that row is its
 image in the quotient.
 
-The canonical basis is still the greedy one: the first r^2/|J| pairs in
-position order that stay independent modulo the radical, i.e. whose rows
-of C are independent.  Independence is found in floats, certified
-exactly (_greedy_rows).  The normal forms solve
-nf . C[canonical] = C; they are found in floats, rounded and verified
-exactly in integers, and no pair's normal form may use a canonical pair
-after it, which makes the basis the greedy one over Q.  The pairs a(x)0
+The canonical basis is the first r^2/|J| pairs in position order, the
+a(x)b with a < r/|J|, and the normal forms solve nf . C[:r^2/|J|] = C:
+they are found in floats, rounded and verified exactly in integers.  As C
+holds the identity at the simple objects, that check proves C[:r^2/|J|]
+invertible, so each of these pairs is independent of the pairs before it
+modulo the radical: they are the greedy basis, the first pairs in
+position order that stay independent.  On A_n they are the pairs 0(x)b,
+which are simple objects; E6 and E8 are the only other graphs that
+reach this construction (ambichiral_subalgebra refuses D and E7), and the
+check holds on both.  The pairs a(x)0
 and 0(x)b have norm 1, so each of their rows of C is one simple object,
 and the two chiral spans meet where these sets of simple objects do.
 
@@ -53,27 +56,6 @@ __all__ = [
     "decompose_right",
     "ocneanu_json",
 ]
-
-def _greedy_rows(m, k):
-    """The first k rows of the integer matrix m, in order, that are each
-    independent of the rows kept before them, by a float Gram-Schmidt.
-    With g the product of the kept rows' squared residuals, g . n2 is the
-    Gram determinant of the kept rows and the next one, an integer: at
-    least 1 if that row is independent, 0 up to rounding if not.  The
-    caller certifies the pick exactly."""
-    q, picks, g = np.zeros((k, m.shape[1])), [], 1.0
-    for i, row in enumerate(m.astype(np.float64)):
-        if len(picks) == k:
-            break
-        for _ in range(2):              # twice, to stay orthogonal in floats
-            row -= (q @ row) @ q
-        n2 = row @ row
-        if g * n2 > 0.5:
-            q[len(picks)] = row / np.sqrt(n2)
-            picks.append(i)
-            g *= n2
-    return picks
-
 
 class _ReadOnlyDict(dict):
     """A dict that refuses mutation, for tables shared by every caller of
@@ -145,19 +127,13 @@ class QuantumSymmetries:
                     "inner products of %d(x)b are not sums of simple "
                     "objects" % a)
 
-        # a pair is independent of the earlier pairs in the quotient exactly
-        # when its row of C is; C holds the identity at the simple objects,
-        # so the greedy basis has dim pairs and its block of C is invertible
-        canonical = _greedy_rows(gram_c, self.dim)
-        self.canonical = tuple(divmod(p, r) for p in canonical)
-        base = gram_c[canonical]
+        # the first dim pairs: the exact check below proves C[:dim]
+        # invertible, so they are the greedy basis (module docstring)
+        self.canonical = tuple(divmod(p, r) for p in range(self.dim))
+        base = gram_c[:self.dim]
         nf = np.rint(np.linalg.solve(base.T, gram_c.T).T).astype(np.int64)
         if not np.array_equal(nf @ base, gram_c):
             raise StructuralError("normal forms do not verify exactly")
-        # each pair lies in the span of the canonical pairs up to it, over
-        # Q, so a pair skipped in floats is dependent over Q as well
-        if nf[np.arange(r * r)[:, None] < canonical].any():
-            raise StructuralError("the canonical basis is not greedy over Q")
         nf = nf.reshape(r, r, self.dim)
         nf.setflags(write=False)
         self.nf = nf
@@ -228,7 +204,7 @@ class QuantumSymmetries:
         """span(left chiral) meets span(right chiral) exactly in the
         ambichiral span.  a(x)0 and 0(x)b have norm N_0[a,a] = 1, so with
         Gram = C.C^T checked each of their rows of C is one simple object;
-        nf = C.C[canonical]^-1 keeps every span dimension, so the meet has
+        nf = C.C[:dim]^-1 keeps every span dimension, so the meet has
         one dimension per simple object that both families use."""
         r = self.algebra.rank
         left = set(gram_c[::r].argmax(axis=1).tolist())

@@ -18,7 +18,7 @@ from .errors import (NoPositiveHypergroupError, NotDefinedError,
 from .essential import (decompose_left, essential_matrices, esspath_dims,
                         fused_adjacency, intertwiner_check, para_invariants,
                         recurrence_rows)
-from .fusion import algebra_for, fusion_matrices
+from .fusion import fusion_matrices
 from .modular import (modular_invariance_check, modular_rep,
                       partition_function, toric_matrices)
 from .ocneanu import (decompose_right, element_dims, multiply_qs,
@@ -71,7 +71,7 @@ def _dims(graph, want, total, squares):
 
 
 def _fusion_table():
-    alg, lp = algebra_for("E6"), _e6().label_to_position
+    alg, lp = fusion_matrices("E6"), _e6().label_to_position
     labels = alg.diagram.vertex_labels
     for (a, b), want in golden.E6_FUSION_CELLS.items():
         cons = alg.structure_constants(lp(a), lp(b))
@@ -81,7 +81,7 @@ def _fusion_table():
 
 
 def _fusion_extended_block():
-    alg, lp = algebra_for("E6"), _e6().label_to_position
+    alg, lp = fusion_matrices("E6"), _e6().label_to_position
     n0, n3, n4 = (alg.n[lp(a)] for a in (0, 3, 4))
     _assert_equal(n3 @ n3, n0 + n4, "N3*N3")
     _assert_equal(n4 @ n4, n0, "N4*N4")
@@ -97,7 +97,7 @@ def _fusion_positivity_e7():
 
 
 def _fused_adjacency():
-    alg, lp = algebra_for("E6"), _e6().label_to_position
+    alg, lp = fusion_matrices("E6"), _e6().label_to_position
     f = fused_adjacency(essential_matrices(alg))
     for n, labels in golden.A11_F_DECOMP.items():
         _assert_equal(f[n], sum(alg.n[lp(x)] for x in labels), "F_%d" % n)
@@ -243,7 +243,7 @@ def _modular_relations():
 
 def _modular_diagonalize():
     s = modular_rep("A11").s
-    m = np.linalg.solve(s, algebra_for("A11").n[1].astype(complex) @ s)
+    m = np.linalg.solve(s, fusion_matrices("A11").n[1].astype(complex) @ s)
     _close(m, np.diag(np.diag(m)), "S does not diagonalize the A11 adjacency")
 
 
@@ -265,8 +265,8 @@ def _modular_invariance():
 
 E6_CHECKS = (
     ("fusion-table", _fusion_table),
-    ("fusion-matrices", lambda: _frozen(
-        algebra_for("E6").n, golden.E6_N, "N_%d", _e6().label_to_position)),
+    ("fusion-matrices", lambda: _frozen(fusion_matrices("E6").n, golden.E6_N,
+                                        "N_%d", _e6().label_to_position)),
     ("fusion-extended-block", _fusion_extended_block),
     ("fusion-positivity-e7", _fusion_positivity_e7),
     ("spectral-norm", lambda: _close(

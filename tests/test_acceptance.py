@@ -35,7 +35,7 @@ from adefusion import (
     quantum_symmetry_algebra,
     toric_matrices,
 )
-from adefusion.fusion import algebra_for, fusion_matrices
+from adefusion.fusion import fusion_matrices
 from adefusion.ocneanu import element_dims, s_matrices
 from adefusion.path_model import essential_dims
 from adefusion import golden
@@ -45,7 +45,7 @@ from _oracles import _element_index, _pos
 
 def test_criterion_1_fusion_table():
     # all 36 products, the extended-vertex block, and the E7 refusal
-    alg = algebra_for("E6")
+    alg = fusion_matrices("E6")
     d = alg.diagram
     for (la, lb), want in golden.E6_FUSION_CELLS.items():
         counts = alg.structure_constants(_pos(d, la), _pos(d, lb))
@@ -113,7 +113,7 @@ def test_criterion_4_dimension_counts():
 def test_criterion_5_decomposition_tables():
     ess = essential_matrices("E6")
     d = ess.diagram
-    a11 = algebra_for("A11")
+    a11 = fusion_matrices("A11")
     target = ess.e[_pos(d, 1)] @ ess.e[_pos(d, 5)].T
     want = (a11.matrix(2) + 2 * a11.matrix(4) + a11.matrix(6)
             + a11.matrix(8) + a11.matrix(10))
@@ -218,7 +218,7 @@ def test_criterion_8_modular_data():
 def test_criterion_9_property_suites():
     rng = np.random.default_rng(20260822)
     for name in ("A7", "D4", "E6", "E8"):
-        alg = algebra_for(name)
+        alg = fusion_matrices(name)
         r = alg.rank
         for _ in range(60):
             a, b, c = rng.integers(0, r, size=3)
@@ -244,7 +244,7 @@ def test_criterion_9_property_suites():
     from adefusion.fusion import fusion_json
     from adefusion.essential import essential_json
     from adefusion.ocneanu import ocneanu_json
-    alg = algebra_for("E6")
+    alg = fusion_matrices("E6")
     assert np.array_equal(
         np.array(_json.loads(_json.dumps(fusion_json(alg)))["matrices"]),
         alg.n)

@@ -6,7 +6,7 @@ import pytest
 from adefusion import diagram, fusion, modular, ocneanu, path_model
 from adefusion.cli import main
 from adefusion.diagram import build_diagram, parse_graph_name, perron_frobenius
-from adefusion.fusion import algebra_for, ambichiral_subalgebra
+from adefusion.fusion import ambichiral_subalgebra, fusion_matrices
 from adefusion.modular import modular_rep
 from adefusion.path_model import PathSpace, essential_subspace
 
@@ -24,7 +24,8 @@ KEPT = {
                          lambda v: [v], lambda v: [v]),
     "modular_rep": (lambda: modular_rep("E6"), modular.modular_rep,
                     lambda rep: [rep], lambda rep: [rep.s, rep.t]),
-    "ambichiral_subalgebra": (lambda: ambichiral_subalgebra(algebra_for("E6")),
+    "ambichiral_subalgebra": (lambda: ambichiral_subalgebra(
+                                  fusion_matrices("E6")),
                               fusion.ambichiral_subalgebra,
                               lambda sub: [sub], lambda sub: []),
     "decompose_right": (lambda: ocneanu._s_matrices("E6"),

@@ -20,7 +20,7 @@ from adefusion.cli import (BLOCK_ROWS_BUDGET, FUSION_RANK_BUDGET,
                            _matrix_lines, main)
 from adefusion.diagram import diagram_json, parse_graph_name, perron_frobenius
 from adefusion.essential import essential_json, essential_matrices
-from adefusion.fusion import algebra_for, fusion_json
+from adefusion.fusion import fusion_json, fusion_matrices
 from adefusion.modular import modular_json, toric_matrices
 from adefusion.ocneanu import ocneanu_json, quantum_symmetry_algebra
 from adefusion.path_model import PathSpace, spanning_json
@@ -47,11 +47,11 @@ def test_fusion_json_envelope(capsys):
     assert data["command"] == "fusion"
     assert data["graph"] == "E6"
     got = np.array(data["payload"]["matrices"])
-    assert np.array_equal(got, algebra_for("E6").n)
+    assert np.array_equal(got, fusion_matrices("E6").n)
 
 
 LIBRARY_PAYLOADS = {
-    "fusion": lambda g: fusion_json(algebra_for(g)),
+    "fusion": lambda g: fusion_json(fusion_matrices(g)),
     "essential": lambda g: essential_json(essential_matrices(g)),
     "paths": lambda g: spanning_json(PathSpace(parse_graph_name(g), 4)),
     "ocneanu": lambda g: ocneanu_json(quantum_symmetry_algebra(g)),
@@ -92,7 +92,7 @@ def test_json_payload_is_library_document(capsys, command, graph):
 # every public *_json helper, with its builder reachable as helper.arrays
 JSON_HELPERS = {
     "diagram_json": (diagram_json, lambda g: (parse_graph_name(g),)),
-    "fusion_json": (fusion_json, lambda g: (algebra_for(g),)),
+    "fusion_json": (fusion_json, lambda g: (fusion_matrices(g),)),
     "essential_json": (essential_json, lambda g: (essential_matrices(g),)),
     "spanning_json": (spanning_json,
                       lambda g: (PathSpace(parse_graph_name(g), 4),)),
@@ -529,6 +529,17 @@ def test_bad_graph_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fusion", name])
         assert exc.value.code == 2, name
+
+
+def test_rank_that_only_int_would_read_is_usage_error(capsys):
+    # int() reads "1_0" as 10; the rank must be ASCII decimal digits
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion", "A1_0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot parse graph name 'A1_0'" in err
+    assert "Traceback" not in err
 
 
 def test_verify_e6(capsys):

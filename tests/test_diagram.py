@@ -35,7 +35,8 @@ def test_parse_graph_name():
 
 
 def test_bad_names_rejected():
-    for text in ("F4", "E9", "A0", "D3", "A", "Exx", ""):
+    for text in ("F4", "E9", "A0", "D3", "A", "Exx", "", "A1_0", "A+5", "E 6",
+                 "A\u0663"):
         with pytest.raises(UnsupportedDiagramError):
             parse_graph_name(text)
     with pytest.raises(UnsupportedDiagramError):

@@ -16,7 +16,7 @@ from adefusion import (
 )
 from adefusion.diagram import parse_graph_name
 from adefusion.essential import _count_walk, recurrence_rows
-from adefusion.fusion import algebra_for
+from adefusion.fusion import fusion_matrices
 from adefusion.golden import (
     A11_DIMS,
     A11_DIMS_SQ,
@@ -161,7 +161,7 @@ def test_left_worked_example():
     # E_1 . transpose(E_5) = N_2 + 2 N_4 + N_6 + N_8 + N_10 over A11
     ess = essential_matrices("E6")
     d = ess.diagram
-    a11 = algebra_for("A11")
+    a11 = fusion_matrices("A11")
     target = ess.e[_pos(d, 1)] @ ess.e[_pos(d, 5)].T
     want = (a11.matrix(2) + 2 * a11.matrix(4) + a11.matrix(6)
             + a11.matrix(8) + a11.matrix(10))

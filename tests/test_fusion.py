@@ -37,7 +37,6 @@ from adefusion.fusion import (
     _long_branch,
     _ring_generators,
     _verify_ring,
-    algebra_for,
 )
 from adefusion.golden import (
     E6_AMBI_LABELS,
@@ -56,7 +55,7 @@ from _oracles import (
 
 
 def test_e6_matrices_match_printed():
-    alg = algebra_for("E6")
+    alg = fusion_matrices("E6")
     d = alg.diagram
     for label, rows in E6_N.items():
         a = d.label_to_position(label)
@@ -64,7 +63,7 @@ def test_e6_matrices_match_printed():
 
 
 def test_e6_products_match_table():
-    alg = algebra_for("E6")
+    alg = fusion_matrices("E6")
     d = alg.diagram
     for (la, lb), want in E6_FUSION_CELLS.items():
         a = d.label_to_position(la)
@@ -78,7 +77,7 @@ def test_e6_products_match_table():
 
 def test_e6_special_squares():
     # in label terms: N3 N3 = N0 + N4 and N4 N4 = N0
-    alg = algebra_for("E6")
+    alg = fusion_matrices("E6")
     d = alg.diagram
     m = {lab: alg.matrix(d.label_to_position(lab)) for lab in (0, 3, 4)}
     assert np.array_equal(m[3] @ m[3], m[0] + m[4])
@@ -87,7 +86,7 @@ def test_e6_special_squares():
 
 def test_unit_and_commutativity():
     for name in ("A7", "D4", "E6", "E8"):
-        alg = algebra_for(name)
+        alg = fusion_matrices(name)
         assert np.array_equal(alg.matrix(0), np.eye(alg.rank, dtype=np.int64))
         mats = [alg.matrix(a) for a in range(alg.rank)]
         for x in mats:
@@ -96,7 +95,7 @@ def test_unit_and_commutativity():
 
 
 def test_a_family_chebyshev():
-    alg = algebra_for("A11")
+    alg = fusion_matrices("A11")
     n0, n1, n2 = alg.matrix(0), alg.matrix(1), alg.matrix(2)
     assert np.array_equal(n1, alg.diagram.adjacency)
     assert np.array_equal(n1 @ n1, n0 + n2)
@@ -105,7 +104,7 @@ def test_a_family_chebyshev():
 
 
 def test_d4_fork_has_order_three():
-    alg = algebra_for("D4")
+    alg = fusion_matrices("D4")
     m = alg.matrix(2)
     want = np.array([[0, 0, 1, 0],
                      [0, 1, 0, 0],
@@ -264,7 +263,7 @@ def test_ring_generators_match_rank_over_q():
     graphs = (["A%d" % n for n in range(1, 61)]
               + ["D%d" % n for n in range(4, 37, 2)] + ["E6", "E8"])
     for graph in graphs:
-        alg = algebra_for(graph)
+        alg = fusion_matrices(graph)
         assert _ring_generators(alg.diagram) == \
             cyclic_generators_over_q(alg.n), graph
 
@@ -379,7 +378,7 @@ def test_fork_split_matches_product_search(rank):
 
 
 def test_e6_ambichiral_subset():
-    alg = algebra_for("E6")
+    alg = fusion_matrices("E6")
     amb = ambichiral_subalgebra(alg)
     assert amb == E6_AMBI_POSITIONS
     labels = tuple(int(alg.diagram.vertex_labels[v]) for v in amb)
@@ -393,12 +392,12 @@ def test_e6_ambichiral_subset():
 
 
 def test_e8_ambichiral_subset():
-    amb = ambichiral_subalgebra(algebra_for("E8"))
+    amb = ambichiral_subalgebra(fusion_matrices("E8"))
     assert len(amb) == 2 and amb[0] == 0
 
 
 def test_a_ambichiral_is_everything():
-    assert ambichiral_subalgebra(algebra_for("A5")) == (0, 1, 2, 3, 4)
+    assert ambichiral_subalgebra(fusion_matrices("A5")) == (0, 1, 2, 3, 4)
 
 
 def _ambichiral_by_search(alg):
@@ -418,7 +417,7 @@ def _ambichiral_by_search(alg):
 @pytest.mark.parametrize("graph", ["A%d" % n for n in range(1, 61)]
                          + ["E6", "E8"])
 def test_ambichiral_from_the_twist_matches_the_closed_subset_search(graph):
-    alg = algebra_for(graph)
+    alg = fusion_matrices(graph)
     assert ambichiral_subalgebra(alg) == _ambichiral_by_search(alg)
 
 
@@ -482,12 +481,12 @@ _TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("graph", sorted(_TABLE_DIGESTS))
 def test_table_ascii_bytes_unchanged(graph):
-    text = fusion_table_ascii(algebra_for(graph))
+    text = fusion_table_ascii(fusion_matrices(graph))
     assert hashlib.sha256(text.encode()).hexdigest() == _TABLE_DIGESTS[graph]
 
 
 def test_closed_subsets_e6():
-    subs = fusion_closed_subsets(algebra_for("E6"))
+    subs = fusion_closed_subsets(fusion_matrices("E6"))
     assert (0,) in subs
     assert tuple(range(6)) in subs
     assert all(s[0] == 0 for s in subs)
@@ -512,7 +511,7 @@ def _closed_subsets_by_enumeration(alg):
                          + ["D%d" % n for n in range(4, 13, 2)]
                          + ["E6", "E8"])
 def test_closed_subsets_match_enumeration(graph):
-    alg = algebra_for(graph)
+    alg = fusion_matrices(graph)
     assert fusion_closed_subsets(alg) == _closed_subsets_by_enumeration(alg)
 
 
@@ -520,12 +519,12 @@ def test_closed_subsets_match_enumeration(graph):
 def test_closed_subsets_of_a_n(n):
     # 2^(n-1) subsets contain 0 and four are closed: the unit, the simple
     # current, the even vertices, everything; the search must not visit all
-    assert fusion_closed_subsets(algebra_for("A%d" % n)) == [
+    assert fusion_closed_subsets(fusion_matrices("A%d" % n)) == [
         (0,), (0, n - 1), tuple(range(0, n, 2)), tuple(range(n))]
 
 
 def test_table_ascii_block_order():
-    lines = fusion_table_ascii(algebra_for("E6")).splitlines()
+    lines = fusion_table_ascii(fusion_matrices("E6")).splitlines()
     want = [str(v) for v in E6_BLOCK_ORDER]
     assert lines[0].split() == want
     assert set(lines[1]) == {"-"}
@@ -533,7 +532,7 @@ def test_table_ascii_block_order():
 
 
 def test_fusion_json_roundtrip():
-    alg = algebra_for("E6")
+    alg = fusion_matrices("E6")
     data = json.loads(json.dumps(fusion_json(alg)))
     assert data["graph"] == "E6"
     assert data["labels"] == list(alg.diagram.vertex_labels)

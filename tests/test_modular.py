@@ -15,7 +15,6 @@ from adefusion import (
     verlinde_s,
     verlinde_t,
 )
-from adefusion.fusion import algebra_for
 from adefusion.modular import _blocks_of, _t_order
 from adefusion.golden import (
     E6_PARTITION_FUNCTION,
@@ -52,7 +51,7 @@ def test_group_relations():
 
 def test_s_diagonalizes_path_fusion():
     rep = ModularRep(12)
-    n1 = algebra_for("A11").matrix(1).astype(complex)
+    n1 = fusion_matrices("A11").matrix(1).astype(complex)
     conj = np.linalg.solve(rep.s, n1 @ rep.s)
     off = conj - np.diag(np.diag(conj))
     assert np.max(np.abs(off)) < 1e-9

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from adefusion import multiply_qs, quantum_symmetry_algebra
 from adefusion.diagram import build_diagram, diagram_json, parse_graph_name
 from adefusion.essential import essential_json, essential_matrices
-from adefusion.fusion import algebra_for, fusion_json
+from adefusion.fusion import fusion_json, fusion_matrices
 from adefusion.modular import modular_json, toric_matrices
 from adefusion.ocneanu import ocneanu_json, s_matrices
 
@@ -19,7 +19,7 @@ QS_GRAPHS = ("A11", "E6", "E8")
 
 @given(st.sampled_from(FUSION_GRAPHS), st.data())
 def test_fusion_commutativity(graph, data):
-    alg = algebra_for(graph)
+    alg = fusion_matrices(graph)
     a = data.draw(st.integers(0, alg.rank - 1))
     b = data.draw(st.integers(0, alg.rank - 1))
     assert np.array_equal(alg.structure_constants(a, b),
@@ -28,7 +28,7 @@ def test_fusion_commutativity(graph, data):
 
 @given(st.sampled_from(FUSION_GRAPHS), st.data())
 def test_fusion_associativity(graph, data):
-    alg = algebra_for(graph)
+    alg = fusion_matrices(graph)
     r = alg.rank
     a = data.draw(st.integers(0, r - 1))
     b = data.draw(st.integers(0, r - 1))
@@ -131,7 +131,7 @@ def test_diagram_json_roundtrip():
 
 def test_fusion_json_roundtrip():
     for name in FUSION_GRAPHS:
-        alg = algebra_for(name)
+        alg = fusion_matrices(name)
         data = json.loads(json.dumps(fusion_json(alg)))
         assert np.array_equal(np.array(data["matrices"]), alg.n), name
 
