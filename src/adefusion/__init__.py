@@ -14,22 +14,16 @@ from .errors import (
 from .diagram import (
     Family,
     DynkinDiagram,
-    SpectralData,
     build_diagram,
     parse_graph_name,
     graph_norm,
     perron_frobenius,
     q_number,
     coxeter_exponents,
-    spectral_data,
-    ascii_diagram,
-    diagram_json,
 )
 from .fusion import (
     FusionAlgebra,
     fusion_matrices,
-    multiply,
-    fusion_closed_subsets,
     ambichiral_subalgebra,
     fusion_table_ascii,
     fusion_json,
@@ -39,7 +33,6 @@ from .essential import (
     essential_matrices,
     fused_adjacency,
     intertwiner_check,
-    path_counts,
     esspath_dims,
     para_invariants,
     decompose_left,

@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from . import __version__, verify
-from .diagram import parse_graph_name
+from .diagram import _check_tol, parse_graph_name
 from .errors import AdeError, UnsupportedDiagramError
 from .essential import _count_walk, essential_json, essential_matrices
 from .fusion import fusion_json, fusion_matrices, fusion_table_ascii
@@ -46,7 +46,7 @@ from .modular import (_toric_matrices, modular_invariance_check, modular_json,
                       modular_rep, partition_function)
 from .ocneanu import (cayley_dot, element_dims, ocneanu_json,
                       quantum_symmetry_algebra)
-from .path_model import PathSpace, _check_tol
+from .path_model import PathSpace
 from .path_model import essential_dims as path_essential_dims
 from .path_model import spanning_json
 

@@ -19,10 +19,9 @@ import numpy as np
 from .errors import StructuralError, UnsupportedDiagramError
 
 __all__ = [
-    "Family", "DynkinDiagram", "SpectralData",
+    "Family", "DynkinDiagram",
     "build_diagram", "graph_norm", "perron_frobenius", "q_number",
-    "coxeter_exponents", "spectral_data", "parse_graph_name", "ascii_diagram",
-    "diagram_json", "recurrence_rows",
+    "coxeter_exponents", "parse_graph_name", "recurrence_rows",
 ]
 
 
@@ -62,13 +61,6 @@ class DynkinDiagram:
 
     def __repr__(self):
         return "DynkinDiagram(%s)" % self.name
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    norm: float
-    perron_frobenius: np.ndarray
-    exponents: tuple
 
 
 def _path_adjacency(n):
@@ -229,9 +221,18 @@ def perron_frobenius(d, tol=1e-12, max_iter=100000):
     then decided exactly, so the result is the one-step loop's bit for
     bit (see _power_iteration).  On A1, the zero matrix, one step settles
     at [1.0].  Raises StructuralError when the result leaves a residual
-    above 1e-9, as on D200 and A400 at the default.
+    above 1e-9, as on D200 and A400 at the default, and ValueError, before
+    any work, unless tol is finite and above 0.
     """
-    return _perron_frobenius(d, tol, max_iter)
+    return _perron_frobenius(d, _check_tol(tol), max_iter)
+
+
+def _check_tol(tol):
+    """tol itself; ValueError unless it is a finite number above 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite number above 0, got %r"
+                         % (tol,))
+    return tol
 
 
 @cache_per_diagram
@@ -324,36 +325,3 @@ def _t_classes(level):
     """m^2 mod 4N for the characters m = 1..N-1 (0-based), N = level: as
     T[m,m] = exp(i pi (m^2/2N + 1/4)), T is equal exactly within a class."""
     return np.arange(1, level) ** 2 % (4 * level)
-
-
-def spectral_data(d):
-    return SpectralData(graph_norm(d), perron_frobenius(d),
-                        coxeter_exponents(d))
-
-
-def ascii_diagram(d):
-    """Plain-text picture of the diagram, labels at their positions."""
-    labels = d.vertex_labels
-    if d.family is Family.A:
-        return " -- ".join(labels)
-    # D and E: positions 0..rank-2 form a path, position rank-1 branches off
-    branch_at = {Family.D: d.rank - 3,
-                 Family.E: {6: 2, 7: 3, 8: 4}[d.rank]}[d.family]
-    cells = list(labels[:d.rank - 1])
-    sep = " -- "
-    line = sep.join(cells)
-    col = sum(len(c) + len(sep) for c in cells[:branch_at])
-    pad = " " * col
-    return "%s%s\n%s|\n%s" % (pad, labels[d.rank - 1], pad, line)
-
-
-@json_document
-def diagram_json(d):
-    """The diagram as a dict of JSON values."""
-    return {
-        "family": d.family.value,
-        "rank": d.rank,
-        "labels": list(d.vertex_labels),
-        "adjacency": d.adjacency,
-        "coxeter_number": d.coxeter_number,
-    }

@@ -25,7 +25,6 @@ __all__ = [
     "recurrence_rows",
     "fused_adjacency",
     "intertwiner_check",
-    "path_counts",
     "esspath_dims",
     "para_invariants",
     "decompose_left",
@@ -56,9 +55,6 @@ class EssentialSet:
     def f(self):
         """Fused adjacency stack, F_n[a,b] = E_a[n,b]."""
         return np.transpose(self.e, (1, 0, 2))
-
-    def matrix(self, a):
-        return self.e[a]
 
     def __repr__(self):
         return "EssentialSet(%s)" % self.diagram.name
@@ -112,20 +108,6 @@ def _count_walk(diagram, length, origins):
                     % (diagram.name, limit, n, origins[over[0]]))
             v = exact.astype(np.int64)
         yield v
-
-
-def path_counts(diagram, length, origin=0):
-    """Number of length-n edge paths from origin (a vertex position) to
-    each vertex, as an int64 vector; OverflowError, not wrapping, past
-    int64."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if not 0 <= origin < diagram.rank:
-        raise ValueError("origin %s is not a vertex position of %s (0 .. %d)"
-                         % (origin, diagram.name, diagram.rank - 1))
-    for v in _count_walk(diagram, length, (origin,)):
-        pass
-    return v[0]
 
 
 def esspath_dims(ess):

@@ -32,8 +32,6 @@ from .errors import NoPositiveHypergroupError, NotDefinedError, StructuralError
 __all__ = [
     "FusionAlgebra",
     "fusion_matrices",
-    "multiply",
-    "fusion_closed_subsets",
     "ambichiral_subalgebra",
     "fusion_table_ascii",
     "fusion_json",
@@ -62,10 +60,18 @@ class FusionAlgebra:
 
     def structure_constants(self, a, b):
         """Vector of multiplicities of a*b over all vertices."""
+        _check_vertices(self.rank, a, b)
         return self.n[a, b, :].copy()
 
     def __repr__(self):
         return "FusionAlgebra(%s)" % self.diagram.name
+
+
+def _check_vertices(rank, *positions):
+    """IndexError unless every position is a vertex, 0 .. rank-1: a
+    negative one would otherwise read from the end."""
+    if not all(0 <= v < rank for v in positions):
+        raise IndexError("vertex out of range")
 
 
 def _int_matmul(a, b):
@@ -307,43 +313,6 @@ def fusion_matrices(diagram):
         raise NoPositiveHypergroupError(
             diagram.family.value, diagram.rank, str(exc))
     return FusionAlgebra(diagram, mats)
-
-
-def multiply(algebra, a, b):
-    """Structure constants of the product of vertices a and b."""
-    r = algebra.rank
-    if not (0 <= a < r and 0 <= b < r):
-        raise IndexError("vertex out of range")
-    return algebra.structure_constants(a, b)
-
-
-def fusion_closed_subsets(algebra):
-    """All vertex subsets containing 0 whose pairwise products stay
-    inside the subset, sorted by size then lexicographically.
-
-    Grown rather than enumerated, one vertex at a time from the closure
-    of {0}.  Every closed T is reached: for a closed S inside T found
-    already and any v of T outside S, the closure of S + {v} is a closed
-    subset of T strictly larger than S."""
-    support = algebra.n > 0
-
-    def closure(sub):
-        # a set, not np.union1d, which imports numpy.ma on its first call
-        idx = sorted(sub)
-        while True:
-            prods = support[np.ix_(idx, idx)].any(axis=(0, 1))
-            grown = sorted(set(idx).union(np.flatnonzero(prods).tolist()))
-            if len(grown) == len(idx):
-                return tuple(idx)
-            idx = grown
-
-    found, todo = set(), [(0,)]
-    while todo:
-        sub = closure(todo.pop())
-        if sub not in found:
-            found.add(sub)
-            todo += [sub + (v,) for v in range(algebra.rank) if v not in sub]
-    return sorted(found, key=lambda s: (len(s), s))
 
 
 @cache_per_diagram

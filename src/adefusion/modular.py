@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .diagram import _t_classes, cache_per_diagram, json_document
+from .diagram import _check_tol, _t_classes, cache_per_diagram, json_document
 from .essential import essential_matrices, reduced_essential
 from .ocneanu import quantum_symmetry_algebra
 
@@ -117,10 +117,16 @@ def _toric_matrices(diagram):
 def modular_invariance_check(graph, element=None, tol=1e-9):
     """Deviation of [W, S] and [W, T] for one toric matrix (default the
     invariant element 0(x)0).  The verdict takes [W, T] = 0 from the exact
-    rule and [W, S] from s_deviation < tol; t_deviation is reported only."""
+    rule and [W, S] from s_deviation < tol; t_deviation is reported only.
+    ValueError unless tol is finite and above 0, and IndexError for an
+    element outside 0 .. dim-1."""
+    _check_tol(tol)
     qs = quantum_symmetry_algebra(graph)
     if element is None:
         element = qs.element(0, 0)
+    if not 0 <= element < qs.dim:
+        raise IndexError("element %s out of range (0 .. %d)"
+                         % (element, qs.dim - 1))
     w = _toric_matrices(graph)[element]
     rep = modular_rep(graph)
     ds = float(np.abs(w @ rep.s - rep.s @ w).max())

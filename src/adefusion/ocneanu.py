@@ -42,7 +42,8 @@ import numpy as np
 from .diagram import _frozen, cache_per_diagram, json_document
 from .errors import StructuralError
 from .essential import _decompose
-from .fusion import _exact_dtype, ambichiral_subalgebra, fusion_matrices
+from .fusion import (_check_vertices, _exact_dtype, ambichiral_subalgebra,
+                     fusion_matrices)
 
 __all__ = [
     "QuantumSymmetries",
@@ -152,6 +153,7 @@ class QuantumSymmetries:
 
     def element(self, a, b):
         """Canonical index of a(x)b if it is one basis element, else None."""
+        _check_vertices(self.algebra.rank, a, b)
         x = int(self._elements[a, b])
         return None if x < 0 else x
 
@@ -268,6 +270,7 @@ def _generator_matrices(diagram):
 
 def normal_form(qs, a, b):
     """Coordinates of a(x)b over the canonical basis."""
+    _check_vertices(qs.algebra.rank, a, b)
     return qs.nf[a, b].copy()
 
 

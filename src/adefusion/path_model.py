@@ -39,13 +39,12 @@ tol).  tol must be finite and above 0.
 from __future__ import annotations
 
 import functools
-import math
 import threading
 
 import numpy as np
 
-from .diagram import (cache_per_diagram, graph_norm, json_document,
-                      perron_frobenius)
+from .diagram import (_check_tol, cache_per_diagram, graph_norm,
+                      json_document, perron_frobenius)
 from .errors import LengthCapError
 
 __all__ = [
@@ -174,14 +173,6 @@ def jones_projector(space, k):
     cre = creation_operator(ann.target, k)
     m = cre.matrix @ ann.matrix / graph_norm(space.diagram)
     return PathOperator("jones", k, space, space, m)
-
-
-def _check_tol(tol):
-    """tol itself; ValueError unless it is a finite number above 0."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a finite number above 0, got %r"
-                         % (tol,))
-    return tol
 
 
 def _blocks(space):

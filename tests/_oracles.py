@@ -4,8 +4,8 @@ Each is the plain, slower way to compute a value that the package now
 computes another way: exact linear algebra over Fraction (SparseRREF, an
 incremental reduced echelon form, and solve_many), and the constructions
 the package used before it kept to integers or made fewer calls (the
-kernel step of the path model).  None of them is used by
-the package itself.  It also holds the label lookups that the test files
+kernel step of the path model), and the search for fusion-closed
+subsets.  None of them is used by the package itself.  It also holds the label lookups that the test files
 share (_pos, _element_index).
 """
 
@@ -218,6 +218,41 @@ def fork_split_by_pinned_solve(d):
     if len(found) != 1:
         raise _Fail("%d fork splits close the ring" % len(found))
     return found[0]
+
+
+def fusion_closed_subsets(algebra):
+    """All vertex subsets containing 0 whose pairwise products stay
+    inside the subset, sorted by size then lexicographically: the search
+    that the ambichiral subset came from before the twist rule.
+
+    Grown rather than enumerated, one vertex at a time from the closure
+    of {0}.  Every closed T is reached: for a closed S inside T found
+    already and any v of T outside S, the closure of S + {v} is a closed
+    subset of T strictly larger than S."""
+    support = algebra.n > 0
+
+    def closure(sub):
+        idx = sorted(sub)
+        while True:
+            prods = support[np.ix_(idx, idx)].any(axis=(0, 1))
+            grown = sorted(set(idx).union(np.flatnonzero(prods).tolist()))
+            if len(grown) == len(idx):
+                return tuple(idx)
+            idx = grown
+
+    found, todo = set(), [(0,)]
+    while todo:
+        sub = closure(todo.pop())
+        if sub not in found:
+            found.add(sub)
+            todo += [sub + (v,) for v in range(algebra.rank) if v not in sub]
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def walk_counts_exact(diagram, length):
+    """G^length in Python ints (object dtype): row a counts the edge paths
+    of that length from vertex a to each vertex, with no int64 bound."""
+    return np.linalg.matrix_power(diagram.adjacency.astype(object), length)
 
 
 def t_order_by_fractions(level):

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -18,7 +20,7 @@ from adefusion import cli, path_model
 from adefusion.cli import (BLOCK_ROWS_BUDGET, FUSION_RANK_BUDGET,
                            GRAM_RANK_BUDGET, PATHS_BUDGET, _encode,
                            _matrix_lines, main)
-from adefusion.diagram import diagram_json, parse_graph_name, perron_frobenius
+from adefusion.diagram import parse_graph_name, perron_frobenius
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import fusion_json, fusion_matrices
 from adefusion.modular import modular_json, toric_matrices
@@ -91,7 +93,6 @@ def test_json_payload_is_library_document(capsys, command, graph):
 
 # every public *_json helper, with its builder reachable as helper.arrays
 JSON_HELPERS = {
-    "diagram_json": (diagram_json, lambda g: (parse_graph_name(g),)),
     "fusion_json": (fusion_json, lambda g: (fusion_matrices(g),)),
     "essential_json": (essential_json, lambda g: (essential_matrices(g),)),
     "spanning_json": (spanning_json,
@@ -99,6 +100,17 @@ JSON_HELPERS = {
     "ocneanu_json": (ocneanu_json, lambda g: (quantum_symmetry_algebra(g),)),
     "modular_json": (modular_json, lambda g: (g,)),
 }
+
+
+def test_json_helpers_table_names_every_public_json_helper():
+    # a helper added to or deleted from a module's __all__ must be added to
+    # or deleted from the table above
+    public = set()
+    for info in pkgutil.iter_modules(adefusion.__path__):
+        module = importlib.import_module("adefusion." + info.name)
+        public.update(n for n in getattr(module, "__all__", ())
+                      if n.endswith("_json"))
+    assert set(JSON_HELPERS) == public
 
 
 def _tolist_everywhere(value):

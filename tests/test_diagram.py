@@ -1,6 +1,5 @@
 import ast
 import inspect
-import json
 import math
 
 import numpy as np
@@ -12,15 +11,12 @@ from adefusion import (
     Family,
     StructuralError,
     UnsupportedDiagramError,
-    ascii_diagram,
     build_diagram,
     coxeter_exponents,
-    diagram_json,
     graph_norm,
     parse_graph_name,
     perron_frobenius,
     q_number,
-    spectral_data,
 )
 from adefusion.golden import E6_CHAR_POLY, E6_EXPONENTS, E6_LABELS
 
@@ -170,8 +166,8 @@ def test_blocked_iteration_matches_one_step_loop_at_the_edges(name):
     _, steps = _one_step_loop(d)
     cases = [(1e-12, m) for m in (0, 1, 31, 32, 33, 64, 65,
                                   steps - 1, steps, steps + 1)]
-    # tol whose square underflows, and tol that no step or every step passes
-    cases += [(t, 40) for t in (1e-200, 0.0, -1.0, math.inf, math.nan)]
+    # a tol whose square underflows
+    cases.append((1e-200, 40))
     for tol, max_iter in cases:
         got = _outcome(lambda: perron_frobenius(d, tol, max_iter))
         want = _outcome(lambda: _one_step_loop(d, tol, max_iter)[0])
@@ -179,6 +175,15 @@ def test_blocked_iteration_matches_one_step_loop_at_the_edges(name):
             assert got == want, (tol, max_iter)
         else:
             assert got.tobytes() == want.tobytes(), (tol, max_iter)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_perron_frobenius_refuses_a_tol_that_is_not_finite_and_above_0(tol):
+    # refused before the kept call, so nothing is computed or kept
+    kept = diagram._perron_frobenius.cache_info().currsize
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        perron_frobenius(parse_graph_name("A5"), tol, 40)
+    assert diagram._perron_frobenius.cache_info().currsize == kept
 
 
 def test_perron_frobenius_refuses_when_unconverged():
@@ -204,11 +209,11 @@ def test_exponents():
 
 def test_spectral_data_residual():
     d = build_diagram("D", 6)
-    s = spectral_data(d)
+    pf = perron_frobenius(d)
     g = d.adjacency.astype(float)
-    res = g @ s.perron_frobenius - s.norm * s.perron_frobenius
+    res = g @ pf - graph_norm(d) * pf
     assert np.max(np.abs(res)) < 1e-9
-    assert s.exponents == (1, 3, 5, 7, 9, 5)
+    assert coxeter_exponents(d) == (1, 3, 5, 7, 9, 5)
 
 
 def test_package_names_are_exported_by_their_modules():
@@ -229,21 +234,6 @@ def test_q_numbers():
     assert abs(q_number(1, 7) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         q_number(1, 1)
-
-
-def test_ascii_diagram_e6():
-    lines = ascii_diagram(build_diagram("E", 6)).split("\n")
-    assert lines[2] == "0 -- 1 -- 2 -- 5 -- 4"
-    assert lines[0].strip() == "3"
-    assert lines[0].index("3") == lines[2].index("2")
-
-
-def test_diagram_json_roundtrip():
-    d = build_diagram("A", 4)
-    data = json.loads(json.dumps(diagram_json(d)))
-    assert data["labels"] == ["0", "1", "2", "3"]
-    assert np.array_equal(np.array(data["adjacency"]), d.adjacency)
-    assert data["coxeter_number"] == 5
 
 
 def test_neighbors_match_adjacency_rows():

@@ -10,7 +10,6 @@ from adefusion import (
     fused_adjacency,
     intertwiner_check,
     para_invariants,
-    path_counts,
     quantum_symmetry_algebra,
     reduced_essential,
 )
@@ -102,15 +101,22 @@ def test_para_invariants():
     assert tuple(para.sum(axis=0)) == E6_PARA_TOTALS
 
 
+def _last_count(d, length):
+    """The path counts from vertex 0 at length, through the CLI's walk."""
+    for v in _count_walk(d, length, (0,)):
+        pass
+    return v[0]
+
+
 def test_path_counts_length7():
-    v = path_counts(build_diagram("E", 6), 7)
+    v = _last_count(build_diagram("E", 6), 7)
     assert tuple(v) == E6_PATHS7_BY_END
     assert v.sum() == E6_PATHS7_TOTAL
 
 
 def test_path_counts_refuse_int64_overflow():
     d = build_diagram("E", 6)
-    v = path_counts(d, 68)
+    v = _last_count(d, 68)
     assert v.dtype == np.int64 and v.min() >= 0
     want = np.zeros(6, dtype=object)
     want[0] = 1
@@ -118,7 +124,7 @@ def test_path_counts_refuse_int64_overflow():
         want = want @ d.adjacency.astype(object)
     assert v.tolist() == want.tolist()
     with pytest.raises(OverflowError):
-        path_counts(d, 69)
+        _last_count(d, 69)
 
 
 @pytest.mark.parametrize("graph", ["A1", "A2", "A3", "D6", "E8"])
@@ -140,12 +146,6 @@ def test_count_walk_matches_exact_counts_until_int64_overflow(graph):
         assert v.dtype == np.int64 and v.tolist() == exact.tolist(), n
     # only A1 and A2 have no count that grows without bound
     assert graph in ("A1", "A2")
-
-
-def test_path_counts_refuse_an_origin_outside_the_diagram():
-    with pytest.raises(ValueError,
-                       match=r"origin 99 is not a vertex position of E6"):
-        path_counts(build_diagram("E", 6), 3, origin=99)
 
 
 def test_left_decomposition_table():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from adefusion import (
     fusion_matrices,
     modular_invariance_check,
     modular_rep,
+    normal_form,
     parse_graph_name,
     partition_function,
     quantum_symmetry_algebra,
@@ -15,7 +18,7 @@ from adefusion import (
     verlinde_s,
     verlinde_t,
 )
-from adefusion.modular import _blocks_of, _t_order
+from adefusion.modular import _blocks_of, _t_order, modular_json
 from adefusion.golden import (
     E6_PARTITION_FUNCTION,
     E6_S51,
@@ -108,6 +111,42 @@ def test_only_identity_commutes():
     worst = max(max(r["s_deviation"], r["t_deviation"])
                 for r in rows if not r["invariant"])
     assert worst > 0.1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("check", [modular_invariance_check, modular_json])
+def test_invariance_refuses_a_tol_that_is_not_finite_and_above_0(check, tol):
+    # such a tol would report E6's modular invariant as not invariant
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        check("E6", tol=tol)
+
+
+# a vertex pair or an element outside the algebra; a negative position
+# would otherwise read from the end, as numpy indexing does
+OUT_OF_RANGE = {
+    "structure_constants": lambda qs, a, b:
+        qs.algebra.structure_constants(a, b),
+    "element": lambda qs, a, b: qs.element(a, b),
+    "normal_form": normal_form,
+    "modular_invariance_check": lambda qs, x: modular_invariance_check(
+        "E6", element=x),
+}
+
+
+@pytest.mark.parametrize("past_the_end", [False, True])
+@pytest.mark.parametrize("entry", sorted(OUT_OF_RANGE))
+def test_positions_and_elements_out_of_range_are_refused(entry,
+                                                         past_the_end):
+    qs = quantum_symmetry_algebra("E6")
+    if entry == "modular_invariance_check":
+        x = qs.dim if past_the_end else -1
+        calls, match = [(x,)], "element %d out of range" % x
+    else:
+        v = qs.algebra.rank if past_the_end else -1
+        calls, match = [(v, 0), (0, v)], "vertex out of range"
+    for args in calls:
+        with pytest.raises(IndexError, match=match):
+            OUT_OF_RANGE[entry](qs, *args)
 
 
 def _t_deviation(rep, w):

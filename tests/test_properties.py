@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adefusion import multiply_qs, quantum_symmetry_algebra
-from adefusion.diagram import build_diagram, diagram_json, parse_graph_name
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import fusion_json, fusion_matrices
 from adefusion.modular import modular_json, toric_matrices
@@ -119,14 +118,6 @@ def test_solve_many_matches_single_solves(nrows, ncols, nrhs, repeat, data):
                     > np.linalg.matrix_rank(np.array(a)))
             continue
         assert [sum(c * v for c, v in zip(row, x)) for row in a] == b
-
-
-def test_diagram_json_roundtrip():
-    for name in ("A9", "D6", "E7", "E8"):
-        d = parse_graph_name(name)
-        data = json.loads(json.dumps(diagram_json(d)))
-        assert np.array_equal(np.array(data["adjacency"]), d.adjacency)
-        assert data["rank"] == d.rank
 
 
 def test_fusion_json_roundtrip():

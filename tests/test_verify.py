@@ -6,7 +6,8 @@ import pytest
 from adefusion import cli, golden, ocneanu, verify
 from adefusion.diagram import parse_graph_name
 from adefusion.errors import StructuralError
-from adefusion.essential import path_counts
+
+from _oracles import walk_counts_exact
 
 E6_NAMES = [
     "fusion-table", "fusion-matrices", "fusion-extended-block",
@@ -135,22 +136,24 @@ def test_wrong_frozen_toric_matrix_fails(capsys, monkeypatch):
 
 
 def _over_budget_by_two_counts(diagram, length, origin):
-    """Reference for cli._paths_over_budget: path_counts at length, then
-    again at length - 2, for each origin."""
+    """Reference for cli._paths_over_budget: the exact path counts at
+    length, then again at length - 2, for each origin.  The largest count
+    never falls as the length grows (every vertex has a neighbour, or the
+    graph is A1), so a count above int64 at any length up to length shows
+    at length."""
     if length - 1 > cli.BLOCK_ROWS_BUDGET:
         return "length"
     origins = range(diagram.rank) if origin is None else (origin,)
-    try:
-        total = sum(sum(path_counts(diagram, length, a).tolist())
-                    for a in origins)
-    except OverflowError:
+    counts = walk_counts_exact(diagram, length)[list(origins)]
+    if counts.max() > 2 ** 63 - 1:
         return "more than 2**63 - 1 paths"
+    total = sum(counts.ravel().tolist())
     if total > cli.PATHS_BUDGET:
         return "%d paths" % total
     if length < 2:
         return None
-    rows = (length - 1) * max(max(path_counts(diagram, length - 2, a))
-                              for a in origins)
+    rows = (length - 1) * walk_counts_exact(diagram, length - 2)[
+        list(origins)].max()
     return "%d constraint rows" % rows if rows > cli.BLOCK_ROWS_BUDGET \
         else None
 
