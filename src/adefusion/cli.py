@@ -29,7 +29,6 @@ in adefusion.verify.
 """
 
 import argparse
-import collections
 import itertools
 import json
 import os
@@ -40,8 +39,9 @@ import numpy as np
 from . import __version__, verify
 from .diagram import _check_tol, parse_graph_name
 from .errors import AdeError, UnsupportedDiagramError
-from .essential import _count_walk, essential_json, essential_matrices
-from .fusion import fusion_json, fusion_matrices, fusion_table_ascii
+from .essential import essential_json, essential_matrices
+from .fusion import (_int_matmul, fusion_json, fusion_matrices,
+                     fusion_table_ascii)
 from .modular import (_toric_matrices, modular_invariance_check, modular_json,
                       modular_rep, partition_function)
 from .ocneanu import (cayley_dot, element_dims, ocneanu_json,
@@ -235,30 +235,32 @@ def _cmd_essential(args, parser, diagram):
 
 
 def _paths_over_budget(diagram, length, origin):
-    """Why paths of this length are over budget, or None; counted by one
-    path-count walk over every origin at once."""
+    """Why paths of this length are over budget, or None.  A backtrack
+    added at the end keeps a path's ends, so no count falls from length k
+    to k + 2 (A1 has no edge): the first total of this length's parity
+    over the budget refuses, before any count nears int64."""
     if length - 1 > BLOCK_ROWS_BUDGET:
         # each C_k contributes at least one row to every nonempty block, and
         # the count below takes one step per unit of length, on every graph
         return ("length over the bound of %d, which keeps C_1 .. C_{p-1} "
                 "within the budget of %d constraint rows per block"
                 % (BLOCK_ROWS_BUDGET + 1, BLOCK_ROWS_BUDGET))
-    origins = range(diagram.rank) if origin is None else (origin,)
-    try:
-        # the counts at lengths length - 2 .. length, a row per origin
-        walk = collections.deque(_count_walk(diagram, length, origins),
-                                 maxlen=3)
-    except OverflowError:
-        return "more than 2**63 - 1 paths, over the budget of %d paths" \
-            % PATHS_BUDGET
-    # summed in Python ints: the counts fit int64, their total need not
-    total = sum(map(sum, walk[-1].tolist()))
-    if total > PATHS_BUDGET:
-        return "%d paths, over the budget of %d paths" % (total,
-                                                          PATHS_BUDGET)
+    g = diagram.adjacency
+    origins = range(diagram.rank) if origin is None else [origin]
+    ends = np.zeros(diagram.rank, dtype=np.int64)
+    ends[origins] = 1       # the paths of length n from the origins, by end
+    for n in range(length + 1):
+        if n:
+            ends = ends @ g
+        if n % 2 == length % 2 and ends.sum() > PATHS_BUDGET:
+            return ("%d paths of length %d, over the budget of %d paths"
+                    % (ends.sum(), n, PATHS_BUDGET))
     if length < 2:
         return None
-    rows = (length - 1) * int(walk[0].max())
+    counts = np.eye(diagram.rank, dtype=np.int64)[origins]
+    for _ in range(length - 2):
+        counts = _int_matmul(counts, g)
+    rows = (length - 1) * int(counts.max())
     if rows > BLOCK_ROWS_BUDGET:
         return ("%d constraint rows in one (origin, end) block, over the "
                 "budget of %d rows" % (rows, BLOCK_ROWS_BUDGET))

@@ -145,7 +145,7 @@ def cache_per_diagram(fn):
 
     This is the one owner of the package's per-diagram values, and every
     array it keeps is read-only:
-      diagram     _perron_frobenius: the PF vector, per (tol, max_iter)
+      diagram     perron_frobenius: the PF vector
       fusion      fusion_matrices; ambichiral_subalgebra
       ocneanu     quantum_symmetry_algebra; _generator_matrices;
                   _s_matrices, one stacked array, which decompose_right
@@ -208,23 +208,36 @@ def graph_norm(d):
     return 2.0 * math.cos(math.pi / d.coxeter_number)
 
 
-def perron_frobenius(d, tol=1e-12, max_iter=100000):
+PF_TOL = 1e-12
+PF_MAX_ITER = 100_000
+
+
+@cache_per_diagram
+def perron_frobenius(d):
     """Positive eigenvector for the norm, normalized to 1 at position 0;
-    read-only, and kept per (diagram, tol, max_iter).
+    read-only, and kept per diagram.
 
     Power iteration on g + 1, not g itself: the diagram is bipartite, so
     -beta is also an eigenvalue of g and the unshifted iteration never
     settles.  Started from the all-ones vector (guaranteed overlap with
     the positive eigenvector), it stops at the first unit iterate w that
-    moves by less than tol from the one before, or after max_iter steps.
-    The steps run in blocks of 32 and each block's stop test is batched,
-    then decided exactly, so the result is the one-step loop's bit for
-    bit (see _power_iteration).  On A1, the zero matrix, one step settles
-    at [1.0].  Raises StructuralError when the result leaves a residual
-    above 1e-9, as on D200 and A400 at the default, and ValueError, before
-    any work, unless tol is finite and above 0.
+    moves by less than PF_TOL from the one before, or after PF_MAX_ITER
+    steps.  The steps run in blocks of 32 and each block's stop test is
+    batched, then decided exactly, so the result is the one-step loop's
+    bit for bit (see _power_iteration).  On A1, the zero matrix, one step
+    settles at [1.0].  Raises StructuralError when the result leaves a
+    residual above 1e-9, as on D200 and A400.
     """
-    return _perron_frobenius(d, _check_tol(tol), max_iter)
+    beta = graph_norm(d)
+    g = d.adjacency.astype(float)
+    v = _power_iteration(g + np.eye(d.rank), PF_TOL, PF_MAX_ITER)
+    v = v / v[0]
+    residual = np.max(np.abs(g @ v - beta * v))
+    if residual > 1e-9:
+        raise StructuralError(
+            "power iteration residual %.3g exceeds 1e-9" % residual)
+    v.setflags(write=False)
+    return v
 
 
 def _check_tol(tol):
@@ -233,20 +246,6 @@ def _check_tol(tol):
         raise ValueError("tol must be a finite number above 0, got %r"
                          % (tol,))
     return tol
-
-
-@cache_per_diagram
-def _perron_frobenius(d, tol, max_iter):
-    beta = graph_norm(d)
-    g = d.adjacency.astype(float)
-    v = _power_iteration(g + np.eye(d.rank), tol, max_iter)
-    v = v / v[0]
-    residual = np.max(np.abs(g @ v - beta * v))
-    if residual > 1e-9:
-        raise StructuralError(
-            "power iteration residual %.3g exceeds 1e-9" % residual)
-    v.setflags(write=False)
-    return v
 
 
 _BLOCK = 32

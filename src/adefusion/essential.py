@@ -16,8 +16,8 @@ import numpy as np
 
 from .diagram import Family, build_diagram, json_document, recurrence_rows
 from .errors import StructuralError
-from .fusion import (_int_matmul, _row_blocks, ambichiral_subalgebra,
-                     fusion_matrices)
+from .fusion import (_check_index, _int_matmul, _row_blocks,
+                     ambichiral_subalgebra, fusion_matrices)
 
 __all__ = [
     "EssentialSet",
@@ -82,34 +82,6 @@ def intertwiner_check(ess):
     return np.array_equal(partner.adjacency @ e0, e0 @ ess.diagram.adjacency)
 
 
-def _count_walk(diagram, length, origins):
-    """Path counts at lengths 0 .. length, one int64 array each, with a row
-    per origin and a column per end vertex; OverflowError once a count
-    passes int64.
-
-    A count is the sum of at most deg of the previous counts, deg the
-    largest vertex degree, so a step runs in int64 while every count is at
-    most limit // deg, and in Python ints (object arrays) otherwise.
-    """
-    limit = int(np.iinfo(np.int64).max)
-    g = diagram.adjacency
-    safe = limit // max(int(g.sum(axis=0).max()), 1)
-    v = np.eye(diagram.rank, dtype=np.int64)[list(origins)]
-    yield v
-    for n in range(1, length + 1):
-        if v.max() <= safe:
-            v = v @ g
-        else:
-            exact = v.astype(object) @ g.astype(object)
-            over = np.flatnonzero(exact.max(axis=1) > limit)
-            if over.size:
-                raise OverflowError(
-                    "%s has more than %d paths of length %d from vertex %d"
-                    % (diagram.name, limit, n, origins[over[0]]))
-            v = exact.astype(np.int64)
-        yield v
-
-
 def esspath_dims(ess):
     """Total count of essential paths at each length, all endpoints."""
     return ess.e.sum(axis=(0, 2))
@@ -126,6 +98,7 @@ def decompose_left(ess, a, b):
     """Coefficients of E_a . E_b^T over the fusion matrices of the path
     partner; for arrays a, b of positions, one row per cell (a[i], b[i]).
     The reconstruction is checked exactly."""
+    _check_index(len(ess.e), *np.ravel(a), *np.ravel(b))
     return _decompose("left", ess.f, _path_partner(ess).n, a, b,
                       ess.e[a] @ np.swapaxes(ess.e[b], -1, -2))
 

@@ -56,22 +56,24 @@ class FusionAlgebra:
         return self.diagram.rank
 
     def matrix(self, a):
+        _check_index(self.rank, a)
         return self.n[a]
 
     def structure_constants(self, a, b):
         """Vector of multiplicities of a*b over all vertices."""
-        _check_vertices(self.rank, a, b)
+        _check_index(self.rank, a, b)
         return self.n[a, b, :].copy()
 
     def __repr__(self):
         return "FusionAlgebra(%s)" % self.diagram.name
 
 
-def _check_vertices(rank, *positions):
-    """IndexError unless every position is a vertex, 0 .. rank-1: a
-    negative one would otherwise read from the end."""
-    if not all(0 <= v < rank for v in positions):
-        raise IndexError("vertex out of range")
+def _check_index(size, *indices):
+    """IndexError unless every index (a vertex position, an element) is in
+    0 .. size-1: a negative one would otherwise read from the end."""
+    for i in indices:
+        if not 0 <= i < size:
+            raise IndexError("index %s out of range (0 .. %d)" % (i, size - 1))
 
 
 def _int_matmul(a, b):

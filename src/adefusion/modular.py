@@ -16,12 +16,13 @@ block structure is read off and printed as a sum of |chi+...|^2 terms.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .diagram import _check_tol, _t_classes, cache_per_diagram, json_document
+from .errors import StructuralError
 from .essential import essential_matrices, reduced_essential
+from .fusion import _check_index
 from .ocneanu import quantum_symmetry_algebra
 
 __all__ = [
@@ -124,9 +125,7 @@ def modular_invariance_check(graph, element=None, tol=1e-9):
     qs = quantum_symmetry_algebra(graph)
     if element is None:
         element = qs.element(0, 0)
-    if not 0 <= element < qs.dim:
-        raise IndexError("element %s out of range (0 .. %d)"
-                         % (element, qs.dim - 1))
+    _check_index(qs.dim, element)
     w = _toric_matrices(graph)[element]
     rep = modular_rep(graph)
     ds = float(np.abs(w @ rep.s - rep.s @ w).max())
@@ -157,18 +156,14 @@ def _blocks_of(w):
 
 def partition_function(graph):
     """The modular invariant as a sum of squared character blocks,
-    e.g. |chi1+chi7|^2 + ... printed with 1-based character indices."""
+    e.g. |chi1+chi7|^2 + ... printed with 1-based character indices;
+    StructuralError if it has no such blocks."""
     qs = quantum_symmetry_algebra(graph)
     w = _toric_matrices(graph)[qs.element(0, 0)]
     blocks = _blocks_of(w)
     if blocks is None:
-        warnings.warn("modular invariant of %s is not block diagonal"
-                      % qs.diagram.name)
-        terms = []
-        for m, n in zip(*np.nonzero(w)):
-            coef = "" if w[m, n] == 1 else "%d" % w[m, n]
-            terms.append("%sχ%dχ̄%d" % (coef, m + 1, n + 1))
-        return "+".join(terms)
+        raise StructuralError("modular invariant of %s is not block "
+                              "diagonal" % qs.diagram.name)
     parts = []
     for members in sorted(blocks):
         inner = "+".join("χ%d" % (m + 1) for m in members)

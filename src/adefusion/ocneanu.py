@@ -42,7 +42,7 @@ import numpy as np
 from .diagram import _frozen, cache_per_diagram, json_document
 from .errors import StructuralError
 from .essential import _decompose
-from .fusion import (_check_vertices, _exact_dtype, ambichiral_subalgebra,
+from .fusion import (_check_index, _exact_dtype, ambichiral_subalgebra,
                      fusion_matrices)
 
 __all__ = [
@@ -153,7 +153,7 @@ class QuantumSymmetries:
 
     def element(self, a, b):
         """Canonical index of a(x)b if it is one basis element, else None."""
-        _check_vertices(self.algebra.rank, a, b)
+        _check_index(self.algebra.rank, a, b)
         x = int(self._elements[a, b])
         return None if x < 0 else x
 
@@ -234,6 +234,7 @@ class QuantumSymmetries:
 
     def product(self, x, y):
         """Structure constants of the product of canonical elements."""
+        _check_index(self.dim, x, y)
         a, b = self.canonical[x]
         c, d = self.canonical[y]
         cons = self.algebra.n
@@ -270,7 +271,7 @@ def _generator_matrices(diagram):
 
 def normal_form(qs, a, b):
     """Coordinates of a(x)b over the canonical basis."""
-    _check_vertices(qs.algebra.rank, a, b)
+    _check_index(qs.algebra.rank, a, b)
     return qs.nf[a, b].copy()
 
 
@@ -299,6 +300,7 @@ def element_dims(qs):
 def decompose_right(ess, a, b):
     """Coefficients of E_a^T . E_b over the quantum symmetry matrices, for
     a, b as in decompose_left.  The reconstruction is checked exactly."""
+    _check_index(len(ess.e), *np.ravel(a), *np.ravel(b))
     smats = _s_matrices(ess)
     return _decompose("right", smats, smats, a, b,
                       np.swapaxes(ess.e[a], -1, -2) @ ess.e[b])

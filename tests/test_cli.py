@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import adefusion
-from adefusion import cli, path_model
+from adefusion import cli, diagram, path_model
 from adefusion.cli import (BLOCK_ROWS_BUDGET, FUSION_RANK_BUDGET,
                            GRAM_RANK_BUDGET, PATHS_BUDGET, _encode,
                            _matrix_lines, main)
-from adefusion.diagram import parse_graph_name, perron_frobenius
+from adefusion.diagram import parse_graph_name
 from adefusion.essential import essential_json, essential_matrices
 from adefusion.fusion import fusion_json, fusion_matrices
 from adefusion.modular import modular_json, toric_matrices
@@ -290,7 +290,8 @@ def test_paths_negative_length(capsys):
 
 
 def test_paths_over_budget(capsys):
-    # 2,014,924,356 paths: refused from the counts, before any is built
+    # 2,014,924,356 paths: refused from the counts, before any is built, at
+    # the first even length whose count is over the budget
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         main(["paths", "E6", "--length", "30"])
@@ -298,7 +299,21 @@ def test_paths_over_budget(capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "2014924356 paths, over the budget of %d" % PATHS_BUDGET in err
+    assert ("14346 paths of length 12, over the budget of %d paths"
+            % PATHS_BUDGET) in err
+
+
+@pytest.mark.parametrize("graph, length", [("A1000", 200), ("A3000", 3)])
+def test_paths_over_budget_on_a_large_graph_is_refused_at_once(
+        capsys, graph, length):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["paths", graph, "--length", str(length)])
+    assert time.perf_counter() - start < 5
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "over the budget of %d paths" % PATHS_BUDGET in err
 
 
 @pytest.mark.parametrize("command, graph, budget", [
@@ -526,8 +541,9 @@ def test_domain_error_exit_one(capsys):
 
 
 def test_unconverged_power_iteration_exit_one(capsys, monkeypatch):
-    # at the default max_iter this is `paths D200 --length 2` (about 2.5 s)
-    monkeypatch.setattr(perron_frobenius, "__defaults__", (1e-12, 3))
+    # at PF_MAX_ITER this is `paths D200 --length 2` (about 2.5 s)
+    monkeypatch.setattr(diagram, "PF_MAX_ITER", 3)
+    diagram.perron_frobenius.cache_clear()
     path_model._weights.cache_clear()
     path_model._kernel_chain.cache_clear()
     status, out, err = _run(capsys, ["paths", "A11", "--length", "2"])

@@ -13,8 +13,7 @@ from adefusion import (
     quantum_symmetry_algebra,
     reduced_essential,
 )
-from adefusion.diagram import parse_graph_name
-from adefusion.essential import _count_walk, recurrence_rows
+from adefusion.essential import recurrence_rows
 from adefusion.fusion import fusion_matrices
 from adefusion.golden import (
     A11_DIMS,
@@ -30,8 +29,6 @@ from adefusion.golden import (
     E6_LEFT_TABLE,
     E6_PARA,
     E6_PARA_TOTALS,
-    E6_PATHS7_BY_END,
-    E6_PATHS7_TOTAL,
     E6_RIGHT_TABLE,
 )
 
@@ -99,53 +96,6 @@ def test_para_invariants():
     for label, want in E6_PARA.items():
         assert tuple(para[_pos(d, label)]) == want, label
     assert tuple(para.sum(axis=0)) == E6_PARA_TOTALS
-
-
-def _last_count(d, length):
-    """The path counts from vertex 0 at length, through the CLI's walk."""
-    for v in _count_walk(d, length, (0,)):
-        pass
-    return v[0]
-
-
-def test_path_counts_length7():
-    v = _last_count(build_diagram("E", 6), 7)
-    assert tuple(v) == E6_PATHS7_BY_END
-    assert v.sum() == E6_PATHS7_TOTAL
-
-
-def test_path_counts_refuse_int64_overflow():
-    d = build_diagram("E", 6)
-    v = _last_count(d, 68)
-    assert v.dtype == np.int64 and v.min() >= 0
-    want = np.zeros(6, dtype=object)
-    want[0] = 1
-    for _ in range(68):
-        want = want @ d.adjacency.astype(object)
-    assert v.tolist() == want.tolist()
-    with pytest.raises(OverflowError):
-        _last_count(d, 69)
-
-
-@pytest.mark.parametrize("graph", ["A1", "A2", "A3", "D6", "E8"])
-def test_count_walk_matches_exact_counts_until_int64_overflow(graph):
-    # the walk steps in int64 while no count can pass int64 and in Python
-    # ints after that; the exact counts come from object-dtype products
-    d = parse_graph_name(graph)
-    exact = np.eye(d.rank, dtype=object)
-    walk = _count_walk(d, 200, range(d.rank))
-    for n in range(201):
-        if n:
-            exact = exact @ d.adjacency.astype(object)
-        if exact.max() > np.iinfo(np.int64).max:
-            with pytest.raises(OverflowError,
-                               match="paths of length %d from vertex" % n):
-                next(walk)
-            return
-        v = next(walk)
-        assert v.dtype == np.int64 and v.tolist() == exact.tolist(), n
-    # only A1 and A2 have no count that grows without bound
-    assert graph in ("A1", "A2")
 
 
 def test_left_decomposition_table():

@@ -5,10 +5,16 @@ import pytest
 
 from adefusion import (
     ModularRep,
+    StructuralError,
     build_diagram,
+    decompose_left,
+    decompose_right,
+    essential_matrices,
     fusion_matrices,
+    modular,
     modular_invariance_check,
     modular_rep,
+    multiply_qs,
     normal_form,
     parse_graph_name,
     partition_function,
@@ -121,16 +127,25 @@ def test_invariance_refuses_a_tol_that_is_not_finite_and_above_0(check, tol):
         check("E6", tol=tol)
 
 
-# a vertex pair or an element outside the algebra; a negative position
-# would otherwise read from the end, as numpy indexing does
+# a vertex or an element outside the algebra; a negative index would
+# otherwise read from the end, as numpy indexing does
 OUT_OF_RANGE = {
     "structure_constants": lambda qs, a, b:
         qs.algebra.structure_constants(a, b),
+    "matrix": lambda qs, a: qs.algebra.matrix(a),
     "element": lambda qs, a, b: qs.element(a, b),
     "normal_form": normal_form,
+    # arrays of positions, as verify-paper passes them
+    "decompose_left": lambda qs, a, b: decompose_left(
+        essential_matrices("E6"), np.array([0, a]), np.array([0, b])),
+    "decompose_right": lambda qs, a, b: decompose_right(
+        essential_matrices("E6"), np.array([0, a]), np.array([0, b])),
+    "product": lambda qs, x, y: qs.product(x, y),
+    "multiply_qs": multiply_qs,
     "modular_invariance_check": lambda qs, x: modular_invariance_check(
         "E6", element=x),
 }
+ELEMENT_ENTRIES = {"product", "multiply_qs", "modular_invariance_check"}
 
 
 @pytest.mark.parametrize("past_the_end", [False, True])
@@ -138,15 +153,17 @@ OUT_OF_RANGE = {
 def test_positions_and_elements_out_of_range_are_refused(entry,
                                                          past_the_end):
     qs = quantum_symmetry_algebra("E6")
-    if entry == "modular_invariance_check":
-        x = qs.dim if past_the_end else -1
-        calls, match = [(x,)], "element %d out of range" % x
-    else:
-        v = qs.algebra.rank if past_the_end else -1
-        calls, match = [(v, 0), (0, v)], "vertex out of range"
-    for args in calls:
+    call = OUT_OF_RANGE[entry]
+    size = qs.dim if entry in ELEMENT_ENTRIES else qs.algebra.rank
+    x = size if past_the_end else -1
+    match = r"index %d out of range \(0 \.\. %d\)" % (x, size - 1)
+    # the index in each place it can take, the others in range
+    arity = call.__code__.co_argcount - 1
+    for at in range(arity):
+        args = [0] * arity
+        args[at] = x
         with pytest.raises(IndexError, match=match):
-            OUT_OF_RANGE[entry](qs, *args)
+            call(qs, *args)
 
 
 def _t_deviation(rep, w):
@@ -190,6 +207,14 @@ def test_partition_function_strings():
     assert partition_function("E6") == E6_PARTITION_FUNCTION
     diag = "+".join("|χ%d|²" % n for n in range(1, 12))
     assert partition_function("A11") == diag
+
+
+def test_partition_function_refuses_an_invariant_without_blocks(
+        monkeypatch):
+    monkeypatch.setattr(modular, "_blocks_of", lambda w: None)
+    with pytest.raises(StructuralError,
+                       match="modular invariant of E6 is not block diagonal"):
+        partition_function("E6")
 
 
 def test_blocks_must_sum_to_the_invariant():

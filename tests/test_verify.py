@@ -1,3 +1,5 @@
+import functools
+import re
 import sys
 import types
 
@@ -135,49 +137,46 @@ def test_wrong_frozen_toric_matrix_fails(capsys, monkeypatch):
     assert last == "34 of 35 checks passed"
 
 
-def _over_budget_by_two_counts(diagram, length, origin):
-    """Reference for cli._paths_over_budget: the exact path counts at
-    length, then again at length - 2, for each origin.  The largest count
-    never falls as the length grows (every vertex has a neighbour, or the
-    graph is A1), so a count above int64 at any length up to length shows
-    at length."""
+def _over_budget_by_two_counts(counts, length, origins):
+    """Reference for cli._paths_over_budget, from the exact path counts
+    counts(n) (a row per origin) at length, then at length - 2: "length",
+    "paths", "<rows> constraint rows" or None."""
     if length - 1 > cli.BLOCK_ROWS_BUDGET:
         return "length"
-    origins = range(diagram.rank) if origin is None else (origin,)
-    counts = walk_counts_exact(diagram, length)[list(origins)]
-    if counts.max() > 2 ** 63 - 1:
-        return "more than 2**63 - 1 paths"
-    total = sum(counts.ravel().tolist())
-    if total > cli.PATHS_BUDGET:
-        return "%d paths" % total
+    if sum(counts(length)[origins].ravel().tolist()) > cli.PATHS_BUDGET:
+        return "paths"
     if length < 2:
         return None
-    rows = (length - 1) * walk_counts_exact(diagram, length - 2)[
-        list(origins)].max()
+    rows = (length - 1) * counts(length - 2)[origins].max()
     return "%d constraint rows" % rows if rows > cli.BLOCK_ROWS_BUDGET \
         else None
 
 
-@pytest.mark.parametrize("graph", ["A1", "A11", "D6", "E6", "E8"])
-def test_paths_budget_one_walk_per_origin(monkeypatch, graph):
+@pytest.mark.parametrize("graph", [
+    "A1", "A2", "A3", "A4", "A5", "A11", "A30", "A60",
+    "D4", "D5", "D6", "D11", "D20", "E6", "E7", "E8"])
+def test_paths_budget_verdict_matches_exact_counts(graph):
     d = parse_graph_name(graph)
-    walks = []
-    real = cli._count_walk
-
-    def counted(diagram, length, origins):
-        walks.append(list(origins))
-        return real(diagram, length, origins)
-
-    monkeypatch.setattr(cli, "_count_walk", counted)
-    for length in list(range(0, 40)) + [200, 4001, 4002]:
+    counts = functools.lru_cache(maxsize=None)(
+        functools.partial(walk_counts_exact, d))
+    for length in list(range(45)) + [60, 200, 4000, 4001, 4002]:
         for origin in (None, 0, d.rank - 1):
-            walks.clear()
+            origins = list(range(d.rank)) if origin is None else [origin]
             got = cli._paths_over_budget(d, length, origin)
-            want = _over_budget_by_two_counts(d, length, origin)
-            assert (got is None) == (want is None), (length, origin)
-            if want is not None:
-                assert got.startswith(want), (length, origin, got)
-            if want is None or not want.startswith(("length", "more")):
-                # one walk takes each origin once, not again for length - 2
-                assert walks == [list(range(d.rank)) if origin is None
-                                 else [origin]]
+            want = _over_budget_by_two_counts(counts, length, origins)
+            where = length, origin, got
+            if want != "paths":
+                assert (got is None) == (want is None), where
+                assert want is None or got.startswith(want), where
+                continue
+            # refused at the first count of this length's parity that is
+            # over the budget, which the message gives with its length
+            first = re.fullmatch(r"(\d+) paths of length (\d+), over the "
+                                 r"budget of %d paths" % cli.PATHS_BUDGET, got)
+            assert first, where
+            total, n = map(int, first.groups())
+            assert n <= length and n % 2 == length % 2, where
+            totals = [sum(counts(k)[origins].ravel().tolist())
+                      for k in range(length % 2, n + 1, 2)]
+            assert totals[-1] == total > cli.PATHS_BUDGET, where
+            assert max(totals[:-1], default=0) <= cli.PATHS_BUDGET, where
