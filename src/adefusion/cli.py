@@ -46,7 +46,7 @@ from .modular import (_toric_matrices, modular_invariance_check, modular_json,
                       modular_rep, partition_function)
 from .ocneanu import (cayley_dot, element_dims, ocneanu_json,
                       quantum_symmetry_algebra)
-from .path_model import PathSpace
+from .path_model import DEFAULT_CAP, PathSpace
 from .path_model import essential_dims as path_essential_dims
 from .path_model import spanning_json
 
@@ -255,10 +255,10 @@ def _paths_over_budget(diagram, length, origin):
         if n % 2 == length % 2 and ends.sum() > PATHS_BUDGET:
             return ("%d paths of length %d, over the budget of %d paths"
                     % (ends.sum(), n, PATHS_BUDGET))
-    if length < 2:
-        return None
-    counts = np.eye(diagram.rank, dtype=np.int64)[origins]
-    for _ in range(length - 2):
+    if length < 3:
+        return None         # p = 2: N_0 = I, one row per block and C_1
+    counts = g[origins]     # N_{p-2}(a, b) from the origins a
+    for _ in range(length - 3):
         counts = _int_matmul(counts, g)
     rows = (length - 1) * int(counts.max())
     if rows > BLOCK_ROWS_BUDGET:
@@ -284,7 +284,7 @@ def _cmd_paths(args, parser, diagram):
         parser.error("paths %s --length %d: %s"
                      % (diagram.name, args.length, over))
     space = PathSpace(diagram, args.length, origin=origin,
-                      cap=max(args.length, 8))
+                      cap=max(args.length, DEFAULT_CAP))
     if args.format == "json":
         return spanning_json.arrays(space, args.tol)
     dims = path_essential_dims(space, args.tol)

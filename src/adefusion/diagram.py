@@ -70,6 +70,10 @@ def _path_adjacency(n):
     return g
 
 
+# the r x r int64 adjacency takes 8 r^2 bytes: 800 MB at the ceiling
+RANK_CEILING = 10_000
+
+
 def build_diagram(family, rank):
     """Build the diagram for a valid ADE pair.
 
@@ -81,13 +85,19 @@ def build_diagram(family, rank):
     far end of the longest branch.  Only E6's order is pinned by the
     frozen reference tables; the D/E7/E8 orders are this package's
     documented choice.  A diagram is immutable, so one is kept per
-    (family, rank) and a repeated call returns it.
+    (family, rank) and a repeated call returns it.  A rank above
+    RANK_CEILING is refused before the dense adjacency is allocated.
     """
     try:
         family = Family(family)
     except ValueError:
         raise UnsupportedDiagramError("unknown family %r" % (family,))
-    return _build(family, int(rank))
+    rank = int(rank)
+    if rank > RANK_CEILING:
+        raise UnsupportedDiagramError(
+            "%s%d: rank %d, over the ceiling of rank %d"
+            % (family.value, rank, rank, RANK_CEILING))
+    return _build(family, rank)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,13 +10,14 @@ fixes N_b row by row: every row for the branch vertex of an E diagram,
 all but the fork pair for a fork vertex of a D diagram.  The split of
 that pair walks y.G = N_f[f1] the same way, from two pinned coordinates.
 
-Everything is verified eagerly (_verify_ring): nonnegative integer
-entries, unit and generator, row 0 of N_a equal to e_a, symmetry, and
-commutation with the few N_s, read from the diagram, for which e_0 is a
-cyclic vector; pairwise commutation and closure follow.  Diagrams admitting
-no such structure (E7, D_odd) raise NoPositiveHypergroupError from the
-failed construction itself.  All of it is integer arithmetic (large
-products: _exact_dtype), none of it modular.
+Every table, whatever its family, is built and then verified once
+(_verify_ring): nonnegative integer entries, unit and generator, row 0 of
+N_a equal to e_a, symmetry, and commutation with the few N_s, read from
+the diagram, for which e_0 is a cyclic vector; pairwise commutation and
+closure follow.  Diagrams admitting no such structure (E7, D_odd) raise
+NoPositiveHypergroupError from the failed construction or check.  All of
+it is integer arithmetic (large products: _exact_dtype), none of it
+modular.
 """
 
 from __future__ import annotations
@@ -166,8 +167,6 @@ def _construct_d(d):
     n = _long_branch(g, f)
     nf = n[f]
     total = g @ nf - n[f - 1]       # N_f1 + N_f2
-    if np.any(total < 0):
-        raise _Fail("negative entry in fork sum")
 
     # N_f1 is not a polynomial in g (fork symmetry): G.N_f1 = N_f forces
     # every row but the fork pair, which splits a budget s.
@@ -190,8 +189,8 @@ def _construct_d(d):
     # from the pins (y_0, y_f2), as _forced_rows walks the other rows:
     # y_1 = t_0, y_{i+1} = t_i - y_{i-1} along the long branch, then
     # y_f1 = t_f - y_{f-1} - y_f2.  So each pin within the budget s fixes
-    # at most one y, and the pins whose walk solves y.G = t exactly are
-    # the candidates, in the order (y_0, y_f2).
+    # at most one y, and the split is the one pin whose walk solves y.G = t
+    # with 0 <= N_f1 <= N_f1 + N_f2; fusion_matrices checks its ring.
     t = nf[f1]
     pins = np.indices((s[0] + 1, s[f2] + 1)).reshape(2, -1)
     ys = np.zeros((pins.shape[1], r), dtype=np.int64)
@@ -200,23 +199,13 @@ def _construct_d(d):
     for i in range(1, f):
         ys[:, i + 1] = t[i] - ys[:, i - 1]
     ys[:, f1] = t[f] - ys[:, f - 1] - ys[:, f2]
-    found = []
-    for y in ys[np.all(ys @ g == t, axis=1)]:
-        nf1 = np.vstack(x + [y, s - y])
-        nf2 = total - nf1
-        if np.any(y < 0) or np.any(y > s) or np.any(nf2 < 0):
-            continue
-        n[f1], n[f2] = nf1, nf2
-        try:
-            _verify_ring(d, n)
-        except _Fail:
-            continue
-        found.append((nf1, nf2))
-    if not found:
-        raise _Fail("no nonnegative integer fork split closes the ring")
-    if len(found) > 1:
+    nf1s = [np.vstack(x + [y, s - y]) for y in ys[np.all(ys @ g == t, axis=1)]]
+    splits = [m for m in nf1s if np.all((m >= 0) & (m <= total))]
+    if not splits:
+        raise _Fail("no nonnegative integer fork split solves the fork row")
+    if len(splits) > 1:
         raise StructuralError("fork split is not unique for %s" % d.name)
-    n[f1], n[f2] = found[0]
+    n[f1], n[f2] = splits[0], total - splits[0]
     return n
 
 
@@ -301,13 +290,10 @@ def _expected_positive(d):
 @cache_per_diagram
 def fusion_matrices(diagram):
     """Build (and cache) the FusionAlgebra of an ADE diagram."""
+    construct = {Family.A: lambda d: _long_branch(d.adjacency, d.rank - 1),
+                 Family.D: _construct_d, Family.E: _construct_e}
     try:
-        if diagram.family is Family.D:
-            mats = _construct_d(diagram)    # verifies its one split itself
-        else:
-            mats = (_construct_e(diagram) if diagram.family is Family.E
-                    else _long_branch(diagram.adjacency, diagram.rank - 1))
-            mats = _verify_ring(diagram, mats)
+        mats = _verify_ring(diagram, construct[diagram.family](diagram))
     except _Fail as exc:
         if _expected_positive(diagram):
             raise StructuralError(

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from adefusion.fusion import _Fail, _forced_rows, _long_branch, _verify_ring
+from adefusion.fusion import _Fail, _forced_rows, _long_branch
 
 
 def _pos(d, label):
@@ -173,10 +173,11 @@ def cyclic_generators_over_q(n):
         todo += [times(v, a) for v in span.rows.values()]
 
 
-def fork_split_by_pinned_solve(d):
+def fork_splits_by_pinned_solve(d):
     """fusion._construct_d with the fork split found by solve_many: y.G =
-    N_f[f1] solved over Q for every pin (y_0, y_f2) within the budget s,
-    each integer solution checked.  Returns the tables or raises _Fail,
+    N_f[f1] solved over Q for every pin (y_0, y_f2) within the budget s.
+    Returns the tables of every integer solution that keeps y, s - y and
+    N_f2 nonnegative, with no ring check, or raises _Fail before the split
     as _construct_d does; it has no cap on the search space."""
     g = d.adjacency
     r = d.rank
@@ -185,8 +186,6 @@ def fork_split_by_pinned_solve(d):
     mats = list(_long_branch(g, f)[:f + 1])
     nf = mats[f]
     total = g @ nf - mats[f - 1]
-    if np.any(total < 0):
-        raise _Fail("negative entry in fork sum")
     x = _forced_rows(d, nf, f1)[:f1]
     if any(np.any(row < 0) for row in x):
         raise _Fail("negative forced row in fork matrix")
@@ -210,14 +209,8 @@ def fork_split_by_pinned_solve(d):
         nf2 = total - nf1
         if np.any(y < 0) or np.any(y > s) or np.any(nf2 < 0):
             continue
-        try:
-            _verify_ring(d, mats + [nf1, nf2])
-        except _Fail:
-            continue
         found.append(mats + [nf1, nf2])
-    if len(found) != 1:
-        raise _Fail("%d fork splits close the ring" % len(found))
-    return found[0]
+    return found
 
 
 def fusion_closed_subsets(algebra):

@@ -570,6 +570,24 @@ def test_rank_that_only_int_would_read_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["fusion", "A200000"],
+                                  ["paths", "A200000", "--length", "0"],
+                                  ["verify-paper", "A200000"]],
+                         ids=lambda argv: argv[0])
+def test_rank_over_the_ceiling_is_usage_error(capsys, argv):
+    # refused by the diagram, before its adjacency is allocated
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("A200000: rank 200000, over the ceiling of rank %d"
+            % diagram.RANK_CEILING) in err
+    assert "Traceback" not in err
+
+
 def test_verify_e6(capsys):
     status, out, _ = _run(capsys, ["verify-paper", "E6"])
     assert status == 0

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def test_bad_names_rejected():
         build_diagram("D~", 4)
     with pytest.raises(UnsupportedDiagramError):
         build_diagram("Q", 3)
+
+
+@pytest.mark.parametrize("graph", ["A%d" % (diagram.RANK_CEILING + 1),
+                                   "D200000", "A200000"])
+def test_rank_over_the_ceiling_is_refused_before_allocating(graph):
+    # A200000's dense int64 adjacency would take 298 GiB
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedDiagramError) as err:
+        parse_graph_name(graph)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == "%s: rank %s, over the ceiling of rank %d" % (
+        graph, graph[1:], diagram.RANK_CEILING)
 
 
 def test_e6_layout():

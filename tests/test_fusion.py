@@ -47,7 +47,7 @@ from adefusion.golden import (
 from _oracles import (
     SparseRREF,
     cyclic_generators_over_q,
-    fork_split_by_pinned_solve,
+    fork_splits_by_pinned_solve,
     fusion_closed_subsets,
     solve_many,
 )
@@ -332,7 +332,7 @@ def test_perturbed_table_ring_generators_match_rank_over_q(graph, data):
 def test_fork_walk_matches_pinned_solve(rank):
     d = build_diagram("D", rank)
     try:
-        want = fork_split_by_pinned_solve(d)
+        (want,) = fork_splits_by_pinned_solve(d)
     except _Fail as exc:
         with pytest.raises(_Fail) as err:
             _construct_d(d)
@@ -341,6 +341,63 @@ def test_fork_walk_matches_pinned_solve(rank):
     got = _construct_d(d)
     assert len(got) == len(want) == rank
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("rank", range(4, 37, 2), ids="D{}".format)
+def test_fork_walk_keeps_one_pin(rank):
+    # the bounds alone leave one split, and it closes the ring: the walk
+    # needs no ring check of its own
+    d = build_diagram("D", rank)
+    (split,) = fork_splits_by_pinned_solve(d)
+    _verify_ring(d, split)
+
+
+def _lower_fork_sum_base(real):
+    """_long_branch with N_{f-1} lowered by 100: the fork sum
+    N_f1 + N_f2 = G.N_f - N_{f-1} rises, and N_f2 bounds no pin."""
+    def lowered(g, k):
+        n = real(g, k)
+        n[k - 1] -= 100
+        return n
+    return lowered
+
+
+def _raise_forced_row(real):
+    """_forced_rows with row f - 1 raised to N_f[f]: the fork pair's
+    budget s = N_f[f] - row f - 1 is 0, and the one pin's walk leaves it."""
+    def raised(d, target, a):
+        x = real(d, target, a)
+        x[d.rank - 4] = target[d.rank - 3].copy()
+        return x
+    return raised
+
+
+@pytest.mark.parametrize("rank", [4, 10], ids="D{}".format)
+@pytest.mark.parametrize("patch, wrap, reason", [
+    ("_long_branch", _lower_fork_sum_base,
+     "^fork split is not unique for D%d$"),
+    ("_forced_rows", _raise_forced_row,
+     "^fusion construction failed on D%d: no nonnegative integer fork "
+     "split solves the fork row$"),
+], ids=["two-pins", "no-pin"])
+def test_fork_walk_refusals_are_reachable(monkeypatch, rank, patch, wrap,
+                                          reason):
+    monkeypatch.setattr(fusion, patch, wrap(getattr(fusion, patch)))
+    with pytest.raises(StructuralError, match=reason % rank):
+        fusion_matrices.__wrapped__(build_diagram("D", rank))
+
+
+@pytest.mark.parametrize("graph", ["A11", "D10", "E6", "E8"])
+def test_fusion_matrices_checks_each_table_once(monkeypatch, graph):
+    calls = []
+
+    def counted(d, mats):
+        calls.append(d.name)
+        return _verify_ring(d, mats)
+
+    monkeypatch.setattr(fusion, "_verify_ring", counted)
+    fusion_matrices.__wrapped__(build_diagram(graph[0], int(graph[1:])))
+    assert calls == [graph]
 
 
 def _fork_splits_by_search(alg):

@@ -218,6 +218,24 @@ def test_toric_matrices_from_the_chiral_generators(graph):
     assert np.array_equal(w, toric_matrices(graph))
 
 
+@pytest.mark.parametrize("graph", _CERTIFIED + [pytest.param(
+    "E8", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: "
+                                  "four of E8's toric matrices belong to "
+                                  "sums of simple objects"))])
+def test_modular_splitting_of_the_toric_matrices(graph):
+    # Ocneanu's identity sum_x W_x[i, j] W_x[k, l] = sum_{m, n} N_ik^m
+    # N_jl^n Z_mn, N the fusion coefficients of A_{N-1}, exact in int64;
+    # the left side is W^T.W over the flattened toric matrices
+    qs = quantum_symmetry_algebra(graph)
+    w = np.array(toric_matrices(graph), dtype=np.int64)
+    z = w[qs.element(0, 0)]
+    k = len(z)
+    flat = w.reshape(len(w), k * k)
+    left = (flat.T @ flat).reshape(k, k, k, k).transpose(0, 2, 1, 3)
+    n = fusion_matrices("A%d" % k).n.reshape(k * k, k)      # rows (i, k)
+    assert np.array_equal(left, (n @ z @ n.T).reshape(k, k, k, k))
+
+
 def _two_stage_basis(qs):
     """The plain definition of A (x)_J A as a reference: the relations
     (a.x)(x)b = a(x)(x.b) for every x in J, each pair's residue, a greedy
