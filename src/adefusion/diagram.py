@@ -163,8 +163,10 @@ def cache_per_diagram(fn):
       modular     modular_rep: S, T and the order of T at the Coxeter
                   number; _toric_matrices, one stacked array
       path_model  _weights: the contraction weights; _kernel_chain: the
-                  prefix kernels, per tol; _subspace_bases: the bases of
-                  essential_subspace, per (length, origin, tol)
+                  prefix-kernel levels, per tol, each sized by the kernel
+                  dims one length shorter, not by the paths;
+                  _subspace_bases: the bases of essential_subspace, per
+                  (length, origin, tol)
     essential_matrices is built on each call: an EssentialSet takes about
     0.05 ms to build, and keeping one per diagram raised the peak RSS of
     one process building A40, A60, D30, D34 and D36 by about 1.2 MB.

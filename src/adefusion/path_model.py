@@ -12,28 +12,33 @@ The C_k preserve the origin and the endpoint, so the kernel splits into
 length at a time (Ocneanu's essential-path construction).  For k <= q-2,
 C_k acts only on the length-(q-1) prefix, so ker_q(a, b) is the part of
 ker C_{q-1} inside the sum over c ~ b of ker_{q-1}(a, c), each path
-extended by the step c -> b.  Each step takes one SVD of C_{q-1} times
-that extended orthonormal basis, a matrix with one row per length-(q-2)
-path from a to b and only sum_c dim ker_{q-1}(a, c) columns; tol applies
-to the singular values of each step.  essential_subspace instead stacks a
-block's C_1 .. C_{p-1} into one constraint matrix K and takes its SVD
-(forming U only when K is wide), so its bases come in the block's
-lexicographic path coordinates; there tol applies to the singular values
-of K.
+extended by the step c -> b.  Each level is kept in the coordinates of
+the kernels one length shorter, which are orthonormal, so on that sum
+C_{q-1} is the kernel basis at q-2 times a matrix M with one row per
+kernel vector of ker_{q-2}(a, b) and one column per kernel vector of the
+ker_{q-1}(a, c); each step takes one SVD of M, and tol applies to its
+singular values.  The dims equal the recurrence's exactly when each M
+has full row rank inside the Coxeter window.  essential_subspace instead
+stacks a block's C_1 .. C_{p-1} into one constraint matrix K and takes
+its SVD (forming U only when K is wide), so its bases come in the
+block's lexicographic path coordinates; there tol applies to the
+singular values of K.
 
 This module is the numeric cross-check for the integer essential-path
-counts: it never looks at the recurrence, only at explicit path vectors,
-so agreement between the two is a real test.  Paths are enumerated anew on
-each call, each once: a head of floor(p/2) steps joined to each walk of the
-rest from its last vertex.  PathSpace.index is built on first use.  The
-prefix kernels are kept, one chain per
-(diagram, tol) under diagram.cache_per_diagram: for each origin asked, the
-read-only kernel bases at every length up to the longest one asked.  A
-longer request grows the chain by the missing steps only.  The level at
-length q holds, for each end b, an N_q(a, b) x dim ker_q(a, b) array of
-floats, N_q(a, b) the number of paths from a to b.  essential_subspace's
-bases are kept the same way, read-only, per (diagram, length, origin,
-tol).  tol must be finite and above 0.
+counts: it never looks at the recurrence, only at the annihilators on
+explicit paths (essential_subspace) or on the kernels one length shorter
+(essential_dims), so agreement between the two is a real test.  Paths
+are enumerated anew on each call, each once: a head of floor(p/2) steps
+joined to each walk of the rest from its last vertex; essential_dims
+enumerates none.  PathSpace.index is built on first use.  The prefix
+kernels are kept, one chain per (diagram, tol) under
+diagram.cache_per_diagram: for each origin asked, the read-only levels
+at every length up to the longest one asked.  A longer request grows the
+chain by the missing steps only.  The level at length q holds, for each
+end b, a (sum over e ~ b of dim ker_{q-1}(a, e)) x dim ker_q(a, b) array
+of floats, so nothing kept counts paths.  essential_subspace's bases are
+kept the same way, read-only, per (diagram, length, origin, tol).  tol
+must be finite and above 0.
 """
 
 from __future__ import annotations
@@ -240,46 +245,39 @@ def _subspace_bases(d, length, origin, tol):
 
 
 def _kernel_step(prev2, prev, nbrs, weight, tol):
-    """Kernel bases at length q from those at q-1 and q-2, from one
-    origin.  prev[c] has one row per length-(q-1) path to c and one
-    orthonormal column per kernel vector; the rows of block c are the
-    rows of prev2[e] for each e ~ c in turn, each path extended by c."""
-    shapes = [m.shape for m in prev]
-    # off[c]: the rows of prev2[e] summed over e ~ c, e < b, as b ascends
+    """Kernel levels at length q from those at q-1 and q-2, from one
+    origin, each in the coordinates of the kernels one length shorter.
+    prev[c] has one row per kernel vector at q-2 of each e ~ c in turn,
+    and one orthonormal column per kernel vector at q-1."""
+    # off[c]: the rows of prev[c] for e ~ c, e < b, as b ascends
     off = [0] * len(prev)
     out = []
     for b, cs in enumerate(nbrs):
-        # B: the bases at q-1 for c ~ b side by side, each path extended
-        # by c -> b.  C_{q-1} contracts (.., b, c, b) to (.., b), so column
-        # block c of C B is a weighted row slice of prev[c]
-        n2 = prev2[b].shape[0]
-        height = width = 0
+        # C_{q-1} contracts (.., b, c, b) to (.., b), so on the kernels at
+        # q-1 extended by c -> b it is the orthonormal kernel basis at q-2
+        # times M, whose column block c is a weighted row block of prev[c]
+        n2 = prev2[b].shape[1]
+        blocks = []
         for c in cs:
-            n, w = shapes[c]
-            height, width = height + n, width + w
-        basis = np.zeros((height, width))
-        cb = np.zeros((n2, width)) if n2 and width else None
-        i = j = 0
-        for c in cs:
-            n, w = shapes[c]
             o, off[c] = off[c], off[c] + n2
-            if w:
-                basis[i:i + n, j:j + w] = prev[c]
-                if cb is not None:
-                    cb[:, j:j + w] += weight[b][c] * prev[c][o:o + n2]
-            i, j = i + n, j + w
-        if cb is not None:
-            _, sing, vh = np.linalg.svd(cb, full_matrices=n2 < width)
-            basis = basis @ vh[np.count_nonzero(sing > tol):].T
-        out.append(basis)
+            if n2 and prev[c].shape[1]:
+                blocks.append(weight[b][c] * prev[c][o:o + n2])
+        if blocks:
+            m = np.concatenate(blocks, axis=1)
+            _, sing, vh = np.linalg.svd(m, full_matrices=n2 < m.shape[1])
+            out.append(vh[np.count_nonzero(sing > tol):].T)
+        else:
+            out.append(np.eye(sum(prev[c].shape[1] for c in cs)))
     return out
 
 
 @cache_per_diagram
 def _kernel_chain(d, tol):
     """The neighbour table, the weight table and {origin: levels} for one
-    (diagram, tol).  levels[q][b] is the read-only kernel basis at length q
-    of the paths from the origin to b; _prefix_kernels appends levels."""
+    (diagram, tol).  levels[q][b] is the read-only kernel level at length
+    q of the paths from the origin to b: one row per kernel vector at
+    q-1 of each e ~ b in turn, one column per kernel vector at q (at
+    q = 0, [[1]] for b the origin).  essential_dims appends levels."""
     return [d.neighbors(b) for b in range(d.rank)], _weights(d), {}
 
 
@@ -294,16 +292,21 @@ def _read_only(bases):
     return bases
 
 
-def _prefix_kernels(space, tol):
-    """Orthonormal kernel bases {(a, b): paths x kernel array} for each
-    nonempty block, read-only.  The rows follow the block's paths in
-    lexicographic order of the reversed path.  Each origin's levels are
-    kept in _kernel_chain and grown only up to space.length, so no step
-    runs twice for one (diagram, tol)."""
-    d = space.diagram
-    r = d.rank
-    nbrs, weight, levels = _kernel_chain(d, tol)
-    out = {}
+def essential_dims(space, tol=1e-9):
+    """Integer matrix dims[a, b] of essential path counts at this
+    length, computed purely from the path model, one length at a time:
+    the kernel at length q is the null space of C_{q-1} on the kernel at
+    q-1 extended by one step.  On those orthonormal kernels C_{q-1} is
+    the kernel basis at q-2 times a matrix M with one row per kernel
+    vector at q-2, so each step takes one small SVD of M, and tol applies
+    to its singular values: the ones above it are its rank.  Reads only
+    space.diagram, space.length and space.origin; each origin's levels
+    are kept in _kernel_chain and grown only up to space.length, so no
+    step runs twice for one (diagram, tol)."""
+    tol = _check_tol(tol)
+    r = space.diagram.rank
+    nbrs, weight, levels = _kernel_chain(space.diagram, tol)
+    dims = np.zeros((r, r), dtype=np.int64)
     for a in range(r) if space.origin is None else (space.origin,):
         with _GROWING:
             chain = levels.get(a)
@@ -316,22 +319,7 @@ def _prefix_kernels(space, tol):
                     np.zeros((0, 0))] * r
                 chain.append(_read_only(
                     _kernel_step(prev2, chain[-1], nbrs, weight, tol)))
-        out.update(((a, b), basis) for b, basis
-                   in enumerate(chain[space.length]) if basis.shape[0])
-    return out
-
-
-def essential_dims(space, tol=1e-9):
-    """Integer matrix dims[a, b] of essential path counts at this
-    length, computed purely from the path model, one length at a time:
-    the kernel at length q is the null space of C_{q-1} on the kernel at
-    q-1 extended by one step, so each step takes one small SVD of C_{q-1}
-    times the extended orthonormal basis.  tol applies to the singular
-    values of each of those products: the ones above it are its rank."""
-    r = space.diagram.rank
-    dims = np.zeros((r, r), dtype=np.int64)
-    for ab, basis in _prefix_kernels(space, _check_tol(tol)).items():
-        dims[ab] = basis.shape[1]
+        dims[a] = [level.shape[1] for level in chain[space.length]]
     return dims
 
 

@@ -260,27 +260,22 @@ def t_order_by_fractions(level):
 
 def kernel_step_by_slices(prev2, prev, nbrs, weight, tol):
     """path_model._kernel_step before its offsets became a running sum:
-    every block builds C B, each row offset summed anew, and the rank is
-    np.sum of the singular values above tol."""
-    shapes = [m.shape for m in prev]
-    rows2 = [m.shape[0] for m in prev2]
+    every block builds M, each row offset summed anew, and the rank is
+    np.sum of the singular values above tol.  Levels are in the
+    coordinates of the kernels one length shorter."""
+    dims2 = [m.shape[1] for m in prev2]
     out = []
     for b, cs in enumerate(nbrs):
-        # B: the bases at q-1 for c ~ b side by side, each path extended
-        # by c -> b.  C_{q-1} contracts (.., b, c, b) to (.., b), so column
-        # block c of C B is a weighted row slice of prev[c]
-        basis = np.zeros((sum(shapes[c][0] for c in cs),
-                          sum(shapes[c][1] for c in cs)))
-        cb = np.zeros((rows2[b], basis.shape[1]))
-        i = j = 0
+        # C_{q-1} contracts (.., b, c, b) to (.., b), so column block c of
+        # M is a weighted row block of prev[c]
+        blocks = []
         for c in cs:
-            n, w = shapes[c]
-            basis[i:i + n, j:j + w] = prev[c]
-            off = sum(rows2[e] for e in nbrs[c] if e < b)
-            cb[:, j:j + w] += weight[b][c] * prev[c][off:off + rows2[b]]
-            i, j = i + n, j + w
-        if cb.size:
-            _, sing, vh = np.linalg.svd(cb, full_matrices=len(cb) < j)
-            basis = basis @ vh[int(np.sum(sing > tol)):].T
-        out.append(basis)
+            off = sum(dims2[e] for e in nbrs[c] if e < b)
+            blocks.append(weight[b][c] * prev[c][off:off + dims2[b]])
+        m = np.concatenate(blocks, axis=1)
+        if m.size:
+            _, sing, vh = np.linalg.svd(m, full_matrices=len(m) < m.shape[1])
+            out.append(vh[int(np.sum(sing > tol)):].T)
+        else:
+            out.append(np.eye(m.shape[1]))
     return out

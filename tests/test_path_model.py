@@ -1,4 +1,5 @@
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from adefusion import path_model
 from adefusion.path_model import (
     _blocks,
     _constraint_blocks,
-    _prefix_kernels,
     essential_dims,
 )
 from adefusion.golden import E6_ESS4_PATHS, E6_PATHS7_BY_END, E6_PATHS7_TOTAL
@@ -313,6 +313,52 @@ def test_kernel_dims_e8_past_the_stacked_window(p):
     assert np.array_equal(essential_dims(space), ess.e[:, p])
 
 
+def test_dims_fill_the_coxeter_window_from_every_origin():
+    """essential_dims equals F_p, with F_0 = I, F_1 = G and F_{n+1} =
+    G F_n - F_{n-1}, for p = 0 .. N-2 and every origin, and is zero at
+    p = N-1, N the Coxeter number: on A2-A16, D4-D12 (odd D too, as the
+    path model needs no fusion algebra), E6, E7 and E8 (p up to 29).
+    essential_dims reads only the diagram, length and origin of its
+    space, so a namespace stands in for a PathSpace and no path is
+    enumerated."""
+    graphs = ([("A", r) for r in range(2, 17)]
+              + [("D", r) for r in range(4, 13)]
+              + [("E", r) for r in (6, 7, 8)])
+    for fam, rank in graphs:
+        d = build_diagram(fam, rank)
+        g = d.adjacency.astype(np.int64)
+        f_prev, f = np.zeros_like(g), np.eye(rank, dtype=np.int64)
+        for p in range(d.coxeter_number):
+            dims = essential_dims(
+                types.SimpleNamespace(diagram=d, length=p, origin=None))
+            if p < d.coxeter_number - 1:
+                assert np.array_equal(dims, f), (d.name, p)
+            else:
+                assert not dims.any(), (d.name, p)
+            f_prev, f = f, g @ f - f_prev
+
+
+def test_no_kept_array_counts_paths():
+    # the level kept at (a, q, b) has one row per kernel vector at q-1 of
+    # each e ~ b and one column per kernel vector at q; at q = 0 it is
+    # [[1]] for b = a and empty otherwise
+    for fam, rank, last in (("E", 8, 29), ("A", 20, 14), ("D", 7, 11)):
+        d = build_diagram(fam, rank)
+        essential_dims(types.SimpleNamespace(diagram=d, length=last,
+                                             origin=None))
+        levels = path_model._kernel_chain(d, 1e-9)[2]
+        assert levels.keys() == set(range(rank))
+        for a, chain in levels.items():
+            assert len(chain) > last
+            assert [m.shape for m in chain[0]] == [
+                (1, 1) if b == a else (0, 0) for b in range(rank)]
+            for q in range(1, len(chain)):
+                dims = [m.shape[1] for m in chain[q - 1]]
+                for b, m in enumerate(chain[q]):
+                    rows = sum(dims[e] for e in d.neighbors(b))
+                    assert m.shape == (rows, m.shape[1]), (d.name, a, q, b)
+
+
 def test_subspace_bases_match_full_svd():
     # dropping U (full_matrices only when K is wide) leaves vh bit for bit
     for fam, rank, lengths in (("E", 6, range(6, 10)), ("E", 8, range(6, 9))):
@@ -329,6 +375,50 @@ def test_subspace_bases_match_full_svd():
                 assert bases[ab].tobytes() == want.tobytes(), (fam, p, ab)
 
 
+def _origins(space):
+    return range(space.diagram.rank) if space.origin is None else (
+        space.origin,)
+
+
+def _levels(space, tol):
+    # the kept level of every (origin, end) at space.length, the chain
+    # grown through essential_dims
+    essential_dims(space, tol)
+    levels = path_model._kernel_chain(space.diagram, tol)[2]
+    return {(a, b): level for a in _origins(space)
+            for b, level in enumerate(levels[a][space.length])}
+
+
+def _block_diag(blocks):
+    out = np.zeros((sum(m.shape[0] for m in blocks),
+                    sum(m.shape[1] for m in blocks)))
+    i = j = 0
+    for m in blocks:
+        out[i:i + m.shape[0], j:j + m.shape[1]] = m
+        i, j = i + m.shape[0], j + m.shape[1]
+    return out
+
+
+def _path_bases(space, tol):
+    # the kept levels lifted to orthonormal kernel bases in path
+    # coordinates, one per nonempty block: B_q(a, b) is the block diagonal
+    # of B_{q-1}(a, c) over c ~ b times the level at (a, q, b), from
+    # B_0(a, a) = [[1]].  The rows follow the block's paths in
+    # lexicographic order of the reversed path
+    d = space.diagram
+    essential_dims(space, tol)
+    levels = path_model._kernel_chain(d, tol)[2]
+    out = {}
+    for a in _origins(space):
+        bases = levels[a][0]
+        for level in levels[a][1:space.length + 1]:
+            bases = [_block_diag([bases[c] for c in d.neighbors(b)]) @ m
+                     for b, m in enumerate(level)]
+        out.update(((a, b), basis) for b, basis in enumerate(bases)
+                   if basis.shape[0])
+    return out
+
+
 def test_prefix_kernels_span_the_stacked_kernels():
     # the same subspace, not only the same dimension: the orthogonal
     # projectors agree once the rows are put in lexicographic path order
@@ -337,7 +427,7 @@ def test_prefix_kernels_span_the_stacked_kernels():
         d = build_diagram(fam, rank)
         for p in lengths:
             space = PathSpace(d, p, cap=max(p, 8))
-            prefix = _prefix_kernels(space, 1e-9)
+            prefix = _path_bases(space, 1e-9)
             blocks = _blocks(space)
             stacked = essential_subspace(space)
             assert prefix.keys() == stacked.keys(), (fam, p)
@@ -351,38 +441,37 @@ def test_prefix_kernels_span_the_stacked_kernels():
 
 
 def _row_slice_kernel_step(prev2, prev, nbrs, weight, tol):
-    # reference rule: C B as a weighted sum of full-width row slices of B
+    # reference rule: M as a weighted sum of full-width row slices of the
+    # block diagonal of the prev[c], c ~ b, each offset summed anew
     out = []
     for b, cs in enumerate(nbrs):
-        basis = np.zeros((sum(prev[c].shape[0] for c in cs),
-                          sum(prev[c].shape[1] for c in cs)))
-        cb = np.zeros((prev2[b].shape[0], basis.shape[1]))
-        i = j = 0
+        ext = _block_diag([prev[c] for c in cs])
+        m = np.zeros((prev2[b].shape[1], ext.shape[1]))
+        i = 0
         for c in cs:
-            n, w = prev[c].shape
-            basis[i:i + n, j:j + w] = prev[c]
-            off = i + sum(prev2[e].shape[0] for e in nbrs[c] if e < b)
-            cb += weight[b][c] * basis[off:off + len(cb)]
-            i, j = i + n, j + w
-        if cb.size:
-            _, sing, vh = np.linalg.svd(cb, full_matrices=len(cb) < j)
-            basis = basis @ vh[int(np.sum(sing > tol)):].T
-        out.append(basis)
+            off = i + sum(prev2[e].shape[1] for e in nbrs[c] if e < b)
+            m += weight[b][c] * ext[off:off + len(m)]
+            i += prev[c].shape[0]
+        if m.size:
+            _, sing, vh = np.linalg.svd(m, full_matrices=len(m) < m.shape[1])
+            out.append(vh[int(np.sum(sing > tol)):].T)
+        else:
+            out.append(np.eye(m.shape[1]))
     return out
 
 
 def test_prefix_kernels_match_row_slice_rule(monkeypatch):
-    # column slices of C B hold the same products as the row-slice sum,
-    # so every basis is equal bit for bit, zero signs included
+    # column blocks of M hold the same products as the row-slice sum,
+    # so every level is equal bit for bit, zero signs included
     windows = (("E", 6, 11), ("D", 6, 9), ("E", 8, 10))
     spaces = [PathSpace(build_diagram(fam, rank), p, cap=max(p, 8))
               for fam, rank, last in windows for p in range(last + 1)]
     path_model._kernel_chain.cache_clear()
-    got = [_prefix_kernels(space, 1e-9) for space in spaces]
+    got = [_levels(space, 1e-9) for space in spaces]
     monkeypatch.setattr(path_model, "_kernel_step", _row_slice_kernel_step)
     path_model._kernel_chain.cache_clear()
     for space, mine in zip(spaces, got):
-        want = _prefix_kernels(space, 1e-9)
+        want = _levels(space, 1e-9)
         assert mine.keys() == want.keys(), space
         for ab, basis in want.items():
             assert np.array_equal(mine[ab], basis), (space, ab)
@@ -398,14 +487,14 @@ def test_kernel_chain_matches_the_slice_oracle(monkeypatch, fam, rank, last,
     # every level of each origin's chain, bit for bit, whether the origins
     # grow together or one at a time; tol 0.3 and 0.9 cut real ranks, so
     # more blocks have no kernel column, and bipartite parity leaves
-    # blocks with no row of C B at every tol
+    # blocks with no row of M at every tol
     d = build_diagram(fam, rank)
     step = path_model._kernel_step
 
     def levels(kernel_step, origin):
         monkeypatch.setattr(path_model, "_kernel_step", kernel_step)
         path_model._kernel_chain.cache_clear()
-        _prefix_kernels(PathSpace(d, last, origin, cap=last), tol)
+        essential_dims(PathSpace(d, last, origin, cap=last), tol)
         return path_model._kernel_chain(d, tol)[2]
 
     want = levels(kernel_step_by_slices, None)
@@ -421,7 +510,7 @@ def test_kernel_chain_matches_the_slice_oracle(monkeypatch, fam, rank, last,
 
 
 def _lex_rows(space, prefix):
-    # each prefix-kernel basis in the space's own path coordinates: rows
+    # each lifted basis in the space's own path coordinates: rows
     # come in lexicographic order of the reversed path, put them back
     blocks = _blocks(space)
     out = {}
@@ -446,11 +535,11 @@ def test_kernel_chain_matches_a_fresh_chain(fam, rank, last, order):
     if order == "shuffled":
         np.random.default_rng(13).shuffle(asks)
     path_model._kernel_chain.cache_clear()
-    got = [_prefix_kernels(PathSpace(d, p, origin, cap=max(p, 8)), 1e-9)
+    got = [_levels(PathSpace(d, p, origin, cap=max(p, 8)), 1e-9)
            for p, origin in asks]
     for (p, origin), mine in zip(asks, got):
         path_model._kernel_chain.cache_clear()
-        want = _prefix_kernels(PathSpace(d, p, origin, cap=max(p, 8)), 1e-9)
+        want = _levels(PathSpace(d, p, origin, cap=max(p, 8)), 1e-9)
         assert mine.keys() == want.keys(), (p, origin)
         for ab, basis in want.items():
             assert mine[ab].shape == basis.shape, (p, origin, ab)
@@ -460,7 +549,7 @@ def test_kernel_chain_matches_a_fresh_chain(fam, rank, last, order):
 def test_kept_bases_are_read_only():
     d = build_diagram("E", 6)
     for p in (0, 1, 5):
-        for ab, basis in _prefix_kernels(PathSpace(d, p), 1e-9).items():
+        for ab, basis in _levels(PathSpace(d, p), 1e-9).items():
             assert not basis.flags.writeable, (p, ab)
             if basis.size:
                 with pytest.raises(ValueError):
@@ -513,7 +602,7 @@ def test_annihilators_kill_the_prefix_kernels(fam, rank, last):
     d = build_diagram(fam, rank)
     for p in range(2, last + 1):
         space = PathSpace(d, p, cap=max(p, 8))
-        bases = _lex_rows(space, _prefix_kernels(space, 1e-9))
+        bases = _lex_rows(space, _path_bases(space, 1e-9))
         for k in range(1, p):
             ck = annihilation_operator(space, k).matrix
             for ab, basis in bases.items():
@@ -538,12 +627,12 @@ def test_threads_growing_one_chain_get_the_same_bits():
     want = {}
     for p in lengths:
         path_model._kernel_chain.cache_clear()
-        want[p] = _prefix_kernels(PathSpace(d, p, cap=13), 1e-9)
+        want[p] = _levels(PathSpace(d, p, cap=13), 1e-9)
     path_model._kernel_chain.cache_clear()
     got = [None] * len(lengths)
 
     def ask(i):
-        got[i] = _prefix_kernels(PathSpace(d, lengths[i], cap=13), 1e-9)
+        got[i] = _levels(PathSpace(d, lengths[i], cap=13), 1e-9)
 
     threads = [threading.Thread(target=ask, args=(i,))
                for i in range(len(lengths))]
