@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import __version__, verify
-from .diagram import _check_tol, parse_graph_name
+from .diagram import parse_graph_name
 from .errors import AdeError, UnsupportedDiagramError
 from .essential import essential_json, essential_matrices
 from .fusion import (_int_matmul, fusion_json, fusion_matrices,
@@ -64,7 +64,6 @@ BLOCK_ROWS_BUDGET = 4_000
 # thread: fusion A200 takes about 2.6 s and ocneanu A100 about 2 s.
 FUSION_RANK_BUDGET = 200
 GRAM_RANK_BUDGET = 100
-DEFAULT_TOL = 1e-9
 
 
 def _build_parser():
@@ -81,20 +80,9 @@ def _build_parser():
     p.add_argument("--origin", default=None, metavar="V",
                    help="restrict paths to this starting vertex label")
     p.add_argument("--length", type=int, default=None, metavar="N")
-    p.add_argument("--tol", type=_tolerance, default=None, metavar="X",
-                   help="a finite number above 0 (default %g)" % DEFAULT_TOL)
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the output to a file instead of stdout")
     return p
-
-
-def _tolerance(text):
-    """--tol as a float, refused unless finite and above 0."""
-    try:
-        return _check_tol(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "must be a finite number above 0, got %r" % text)
 
 
 def _parse_element(parser, diagram, text):
@@ -286,8 +274,8 @@ def _cmd_paths(args, parser, diagram):
     space = PathSpace(diagram, args.length, origin=origin,
                       cap=max(args.length, DEFAULT_CAP))
     if args.format == "json":
-        return spanning_json.arrays(space, args.tol)
-    dims = path_essential_dims(space, args.tol)
+        return spanning_json.arrays(space)
+    dims = path_essential_dims(space)
     head = "%d paths of length %d; essential dimensions by (origin, end):" \
         % (len(space.paths), args.length)
     return "\n".join([head] + _matrix_lines(dims))
@@ -331,9 +319,9 @@ def _cmd_toric(args, parser, diagram):
 
 def _cmd_modular_check(args, parser, diagram):
     if args.format == "json":
-        return modular_json.arrays(diagram.name, tol=args.tol)
+        return modular_json.arrays(diagram.name)
     rep = modular_rep(diagram)
-    res = modular_invariance_check(diagram.name, tol=args.tol)
+    res = modular_invariance_check(diagram.name)
     dev = rep.relation_deviations()
     lines = [
         "level %d, T has order %d" % (diagram.coxeter_number, rep.t_order),
@@ -359,11 +347,10 @@ def _cmd_verify(args, parser, diagram):
 COMMANDS = {
     "fusion": (_cmd_fusion, ("json", "table"), (), FUSION_RANK_BUDGET),
     "essential": (_cmd_essential, ("json", "table"), (), FUSION_RANK_BUDGET),
-    "paths": (_cmd_paths, ("json", "table"), ("origin", "length", "tol"),
-              None),
+    "paths": (_cmd_paths, ("json", "table"), ("origin", "length"), None),
     "ocneanu": (_cmd_ocneanu, ("json", "dot", "table"), (), GRAM_RANK_BUDGET),
     "toric": (_cmd_toric, ("json", "table"), ("element",), GRAM_RANK_BUDGET),
-    "modular-check": (_cmd_modular_check, ("json", "table"), ("tol",),
+    "modular-check": (_cmd_modular_check, ("json", "table"), (),
                       GRAM_RANK_BUDGET),
     "verify-paper": (_cmd_verify, ("table",), (), None),
 }
@@ -389,7 +376,6 @@ def main(argv=None):
     if budget is not None and diagram.rank > budget:
         PARSER.error("%s %s: rank %d, over the budget of rank %d"
                      % (args.command, diagram.name, diagram.rank, budget))
-    args.tol = DEFAULT_TOL if args.tol is None else args.tol
 
     try:
         out = run(args, PARSER, diagram)

@@ -166,7 +166,7 @@ def cache_per_diagram(fn):
                   prefix-kernel levels, per tol, each sized by the kernel
                   dims one length shorter, not by the paths;
                   _subspace_bases: the bases of essential_subspace, per
-                  (length, origin, tol)
+                  (length, origin)
     essential_matrices is built on each call: an EssentialSet takes about
     0.05 ms to build, and keeping one per diagram raised the peak RSS of
     one process building A40, A60, D30, D34 and D36 by about 1.2 MB.
@@ -250,14 +250,6 @@ def perron_frobenius(d):
             "power iteration residual %.3g exceeds 1e-9" % residual)
     v.setflags(write=False)
     return v
-
-
-def _check_tol(tol):
-    """tol itself; ValueError unless it is a finite number above 0."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a finite number above 0, got %r"
-                         % (tol,))
-    return tol
 
 
 _BLOCK = 32

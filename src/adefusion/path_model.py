@@ -16,13 +16,13 @@ extended by the step c -> b.  Each level is kept in the coordinates of
 the kernels one length shorter, which are orthonormal, so on that sum
 C_{q-1} is the kernel basis at q-2 times a matrix M with one row per
 kernel vector of ker_{q-2}(a, b) and one column per kernel vector of the
-ker_{q-1}(a, c); each step takes one SVD of M, and tol applies to its
-singular values.  The dims equal the recurrence's exactly when each M
-has full row rank inside the Coxeter window.  essential_subspace instead
-stacks a block's C_1 .. C_{p-1} into one constraint matrix K and takes
-its SVD (forming U only when K is wide), so its bases come in the
-block's lexicographic path coordinates; there tol applies to the
-singular values of K.
+ker_{q-1}(a, c); each step takes one SVD of M, whose rank is the number
+of its singular values above essential_dims's tol.  The dims equal the
+recurrence's exactly when each M has full row rank inside the Coxeter
+window.  essential_subspace instead stacks a block's C_1 .. C_{p-1} into
+one constraint matrix K and takes its SVD (forming U only when K is
+wide), so its bases come in the block's lexicographic path coordinates;
+the rank of K counts its singular values above _TOL.
 
 This module is the numeric cross-check for the integer essential-path
 counts: it never looks at the recurrence, only at the annihilators on
@@ -37,8 +37,8 @@ at every length up to the longest one asked.  A longer request grows the
 chain by the missing steps only.  The level at length q holds, for each
 end b, a (sum over e ~ b of dim ker_{q-1}(a, e)) x dim ker_q(a, b) array
 of floats, so nothing kept counts paths.  essential_subspace's bases are
-kept the same way, read-only, per (diagram, length, origin, tol).  tol
-must be finite and above 0.
+kept the same way, read-only, per (diagram, length, origin).
+essential_dims's tol must be finite and above 0.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import threading
 
 import numpy as np
 
-from .diagram import (_check_tol, cache_per_diagram, graph_norm,
-                      json_document, perron_frobenius)
+from .diagram import (cache_per_diagram, graph_norm, json_document,
+                      perron_frobenius)
 from .errors import LengthCapError
 
 __all__ = [
@@ -66,6 +66,17 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 8
+# the stacked SVD's rank threshold and essential_dims's default tol, deep
+# in the singular-value gaps that test_rank_margin_full_coxeter_window and
+# test_prefix_kernel_margin pin: every value is <= 1e-12 or >= 1e-2
+_TOL = 1e-9
+
+
+def _check_origin(diagram, origin):
+    """ValueError unless origin is None or a vertex position."""
+    if origin is not None and not 0 <= origin < diagram.rank:
+        raise ValueError("origin %s is not a vertex position of %s (0 .. %d)"
+                         % (origin, diagram.name, diagram.rank - 1))
 
 
 def enumerate_paths(diagram, length, origin=None, cap=DEFAULT_CAP):
@@ -74,9 +85,7 @@ def enumerate_paths(diagram, length, origin=None, cap=DEFAULT_CAP):
     origin, if given, must be a vertex position."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if origin is not None and not 0 <= origin < diagram.rank:
-        raise ValueError("origin %s is not a vertex position of %s (0 .. %d)"
-                         % (origin, diagram.name, diagram.rank - 1))
+    _check_origin(diagram, origin)
     if length > cap:
         raise LengthCapError(
             "length %d exceeds the cap %d (pass cap= to raise it)"
@@ -217,18 +226,17 @@ def _constraint_blocks(space):
         yield ab, block, kmat
 
 
-def essential_subspace(space, tol=1e-9):
+def essential_subspace(space):
     """Orthonormal bases of the joint kernel of all C_k, one per
     (origin, endpoint) pair: {(a, b): rows-are-basis-vectors array}.
     Coordinates follow the lexicographic order of the block's paths.  The
     dict is new on each call; the bases are read-only and kept per
-    (diagram, length, origin, tol)."""
-    return dict(_subspace_bases(space.diagram, space.length, space.origin,
-                                _check_tol(tol)))
+    (diagram, length, origin)."""
+    return dict(_subspace_bases(space.diagram, space.length, space.origin))
 
 
 @cache_per_diagram
-def _subspace_bases(d, length, origin, tol):
+def _subspace_bases(d, length, origin):
     out = {}
     for ab, block, kmat in _constraint_blocks(
             PathSpace(d, length, origin, cap=length)):
@@ -239,7 +247,7 @@ def _subspace_bases(d, length, origin, tol):
             kmat, full_matrices=kmat.shape[0] < kmat.shape[1])
         # a copy: a view would keep all of vh, n x n for n paths (31 MB
         # over the blocks of E6 at length 11, where every kernel is empty)
-        out[ab] = vh[int(np.sum(sing > tol)):].copy()
+        out[ab] = vh[int(np.sum(sing > _TOL)):].copy()
     _read_only(out.values())
     return out
 
@@ -292,7 +300,7 @@ def _read_only(bases):
     return bases
 
 
-def essential_dims(space, tol=1e-9):
+def essential_dims(space, tol=_TOL):
     """Integer matrix dims[a, b] of essential path counts at this
     length, computed purely from the path model, one length at a time:
     the kernel at length q is the null space of C_{q-1} on the kernel at
@@ -302,8 +310,13 @@ def essential_dims(space, tol=1e-9):
     to its singular values: the ones above it are its rank.  Reads only
     space.diagram, space.length and space.origin; each origin's levels
     are kept in _kernel_chain and grown only up to space.length, so no
-    step runs twice for one (diagram, tol)."""
-    tol = _check_tol(tol)
+    step runs twice for one (diagram, tol).  ValueError, before any chain
+    is kept, unless tol is finite and above 0 and the origin is None or a
+    vertex position."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be a finite number above 0, got %r"
+                         % (tol,))
+    _check_origin(space.diagram, space.origin)
     r = space.diagram.rank
     nbrs, weight, levels = _kernel_chain(space.diagram, tol)
     dims = np.zeros((r, r), dtype=np.int64)
@@ -324,9 +337,9 @@ def essential_dims(space, tol=1e-9):
 
 
 @json_document
-def spanning_json(space, tol=1e-9):
+def spanning_json(space):
     """The essential bases by (origin, end) block as a dict of JSON values."""
-    bases = essential_subspace(space, tol)
+    bases = essential_subspace(space)
     paths = _blocks(space)
     blocks = []
     for (a, b), basis in sorted(bases.items()):

@@ -59,10 +59,10 @@ def test_kept_value_is_shared_and_read_only(name):
 def test_kept_keys_carry_their_arguments():
     d = parse_graph_name("E6")
     space = PathSpace(d, 4)
-    loose = essential_subspace(space, 1e-9)
-    assert loose is not essential_subspace(space, 1e-9)
+    loose = essential_subspace(space)
+    assert loose is not essential_subspace(space)
     for origin in (0, 5):
-        mine = essential_subspace(PathSpace(d, 4, origin), 1e-9)
+        mine = essential_subspace(PathSpace(d, 4, origin))
         assert mine.keys() == {ab for ab in loose if ab[0] == origin}
         for ab, basis in mine.items():
             assert basis.tobytes() == loose[ab].tobytes(), ab

@@ -41,11 +41,22 @@ def test_enumerate_small():
     lambda d: enumerate_paths(d, 2, origin=-1),
     lambda d: enumerate_paths(d, 0, origin=99),
     lambda d: essential_dims(PathSpace(d, 2, origin=-1)),
-], ids=["negative", "length-0", "path-space"])
+    # essential_dims reads space.origin itself, unchecked by PathSpace
+    lambda d: essential_dims(types.SimpleNamespace(diagram=d, length=4,
+                                                   origin=-1)),
+    lambda d: essential_dims(types.SimpleNamespace(diagram=d, length=4,
+                                                   origin=6)),
+], ids=["negative", "length-0", "path-space", "dims-negative",
+        "dims-past-the-rank"])
 def test_refuses_an_origin_outside_the_diagram(build):
+    d = build_diagram("E", 6)
+    levels = path_model._kernel_chain(d, 1e-9)[2]
+    before = set(levels)
     with pytest.raises(ValueError,
                        match=r"is not a vertex position of E6 \(0 \.\. 5\)"):
-        build(build_diagram("E", 6))
+        build(d)
+    # refused before a chain is kept under that origin
+    assert set(levels) == before
 
 
 def test_enumerate_counts_length7():
@@ -240,6 +251,7 @@ def test_kernel_dims_full_coxeter_window():
 def test_rank_margin_full_coxeter_window():
     # tol = 1e-9 sits deep inside the singular-value gap, so the rank
     # cannot depend on whether U and V are formed
+    assert 1e-12 < path_model._TOL < 1e-2
     for space in _e6_window():
         for ab, block, kmat in _constraint_blocks(space):
             sing = np.linalg.svd(kmat, compute_uv=False)
@@ -286,6 +298,7 @@ def test_dims_match_stacked_constraint_rule():
 
 def test_prefix_kernel_margin(monkeypatch):
     # every step's singular values sit far from tol = 1e-9 on both sides
+    assert 1e-12 < path_model._TOL < 0.5
     seen = []
     svd = np.linalg.svd
 
@@ -615,8 +628,6 @@ def test_library_tol_must_be_finite_and_positive(tol):
     before = path_model._kernel_chain.cache_info().currsize
     with pytest.raises(ValueError, match="finite number above 0"):
         essential_dims(space, tol)
-    with pytest.raises(ValueError, match="finite number above 0"):
-        essential_subspace(space, tol)
     assert path_model._kernel_chain.cache_info().currsize == before
 
 
