@@ -499,6 +499,7 @@ def test_option_of_another_command_is_refused(capsys, command, option):
 
 @pytest.mark.parametrize("argv", [
     ["paths", "E6", "--length", "4"],
+    ["paths", "E6", "--length", "4", "--format", "json"],
     ["paths", "E6", "--length", "4", "--origin", "0"],
     ["paths", "E6", "--length", "4", "--origin", "0", "--format", "json"],
     ["toric", "E6", "--element", "0x0"],
