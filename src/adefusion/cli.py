@@ -59,9 +59,11 @@ from .path_model import spanning_json
 PATHS_BUDGET = 10_000
 BLOCK_ROWS_BUDGET = 4_000
 # A graph above its command's rank budget is refused before any work, too:
-# `fusion` and `essential` build the r^3 fusion table, and `ocneanu`,
+# `fusion` and `essential` build the r^3 fusion table, `paths` runs the
+# dense power iteration for the Perron-Frobenius weights, and `ocneanu`,
 # `toric` and `modular-check` run the r^5 Gram check.  For scale, one
-# thread: fusion A200 takes about 2.6 s and ocneanu A100 about 2 s.
+# thread: fusion A200 takes about 2.6 s, ocneanu A100 about 2 s, and
+# paths A400 --length 0 fails the power iteration after about 2.4 s.
 FUSION_RANK_BUDGET = 200
 GRAM_RANK_BUDGET = 100
 
@@ -347,7 +349,8 @@ def _cmd_verify(args, parser, diagram):
 COMMANDS = {
     "fusion": (_cmd_fusion, ("json", "table"), (), FUSION_RANK_BUDGET),
     "essential": (_cmd_essential, ("json", "table"), (), FUSION_RANK_BUDGET),
-    "paths": (_cmd_paths, ("json", "table"), ("origin", "length"), None),
+    "paths": (_cmd_paths, ("json", "table"), ("origin", "length"),
+              FUSION_RANK_BUDGET),
     "ocneanu": (_cmd_ocneanu, ("json", "dot", "table"), (), GRAM_RANK_BUDGET),
     "toric": (_cmd_toric, ("json", "table"), ("element",), GRAM_RANK_BUDGET),
     "modular-check": (_cmd_modular_check, ("json", "table"), (),

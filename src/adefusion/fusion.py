@@ -6,9 +6,10 @@ adjacent vertex realizes the adjacency matrix, so matrices for vertices
 along the long branch follow from the two-term recurrence
 N_next = G.N_cur - N_prev.  A vertex b with one neighbour t has
 G.N_b = N_t and row 0 of N_b equal to e_b, and walking these equations
-fixes N_b row by row: every row for the branch vertex of an E diagram,
-all but the fork pair for a fork vertex of a D diagram.  The split of
-that pair walks y.G = N_f[f1] the same way, from two pinned coordinates.
+fixes N_b row by row (_forced_rows): every row for the branch vertex of
+an E diagram, all but the fork pair for a fork vertex of a D diagram.
+The split of that pair is the same walk of y.G = N_f[f1], one coordinate
+per row, over a grid of two pinned coordinates.
 
 Every table, whatever its family, is built and then verified once
 (_verify_ring): nonnegative integer entries, unit and generator, row 0 of
@@ -128,12 +129,12 @@ def _long_branch(g, k):
     return n
 
 
-def _forced_rows(d, target, a):
-    """The rows of X with G.X = target and row 0 = e_a that the equations
-    force, else None: row i of G.X sums X's rows at the neighbours of i,
-    so an equation with one unknown neighbour fixes that row."""
-    x = [None] * d.rank
-    x[0] = np.eye(d.rank, dtype=np.int64)[a]
+def _forced_rows(d, target, known):
+    """The rows of X with G.X = target and the rows {i: X[i]} known that
+    the equations force, else None: row i of G.X sums X's rows at the
+    neighbours of i, so an equation with one unknown neighbour fixes that
+    row."""
+    x = [known.get(i) for i in range(d.rank)]
     grew = True
     while grew:
         grew = False
@@ -152,7 +153,7 @@ def _construct_e(d):
     (t,) = d.neighbors(r - 1)      # the branch vertex's one neighbour
     n = _long_branch(g, t)
     # on E6-E8 the equations G.N_b = N_t force every row of N_b
-    n[r - 1] = _forced_rows(d, n[t], r - 1)
+    n[r - 1] = _forced_rows(d, n[t], {0: np.eye(r, dtype=np.int64)[r - 1]})
     n[t + 1] = g @ n[t] - n[t - 1] - n[r - 1]
     for j in range(t + 1, r - 2):
         n[j + 1] = n[j] @ g - n[j - 1]
@@ -170,7 +171,7 @@ def _construct_d(d):
 
     # N_f1 is not a polynomial in g (fork symmetry): G.N_f1 = N_f forces
     # every row but the fork pair, which splits a budget s.
-    x = _forced_rows(d, nf, f1)[:f1]
+    x = _forced_rows(d, nf, {0: np.eye(r, dtype=np.int64)[f1]})[:f1]
     if any(np.any(row < 0) for row in x):
         raise _Fail("negative forced row in fork matrix")
     if not np.array_equal(x[f], nf[f1]) or not np.array_equal(nf[f1], nf[f2]):
@@ -185,20 +186,16 @@ def _construct_d(d):
     if space > _SPLIT_CAP:
         raise StructuralError("fork split search space too large (%d)" % space)
 
-    # Row f1 of N_f1.G = N_f is y.G = t, t = N_f[f1].  Its equations walk y
-    # from the pins (y_0, y_f2), as _forced_rows walks the other rows:
-    # y_1 = t_0, y_{i+1} = t_i - y_{i-1} along the long branch, then
-    # y_f1 = t_f - y_{f-1} - y_f2.  So each pin within the budget s fixes
-    # at most one y, and the split is the one pin whose walk solves y.G = t
-    # with 0 <= N_f1 <= N_f1 + N_f2; fusion_matrices checks its ring.
+    # Row f1 of N_f1.G = N_f is y.G = t, t = N_f[f1]: _forced_rows walks
+    # it one coordinate of y per row, over the grid of pins (y_0, y_f2)
+    # within the budget s.  Each pin fixes at most one y, and the split is
+    # the one pin whose walk solves y.G = t with 0 <= N_f1 <= N_f1 + N_f2;
+    # fusion_matrices checks its ring.
     t = nf[f1]
-    pins = np.indices((s[0] + 1, s[f2] + 1)).reshape(2, -1)
-    ys = np.zeros((pins.shape[1], r), dtype=np.int64)
-    ys[:, 0], ys[:, f2] = pins
-    ys[:, 1] = t[0]
-    for i in range(1, f):
-        ys[:, i + 1] = t[i] - ys[:, i - 1]
-    ys[:, f1] = t[f] - ys[:, f - 1] - ys[:, f2]
+    pins = np.indices((s[0] + 1, s[f2] + 1))
+    ys = np.stack(_forced_rows(
+        d, np.broadcast_to(t[:, None, None], (r,) + pins.shape[1:]),
+        {0: pins[0], f2: pins[1]}), axis=-1).reshape(-1, r)
     nf1s = [np.vstack(x + [y, s - y]) for y in ys[np.all(ys @ g == t, axis=1)]]
     splits = [m for m in nf1s if np.all((m >= 0) & (m <= total))]
     if not splits:

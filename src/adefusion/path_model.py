@@ -3,9 +3,10 @@
 Paths of length p are (p+1)-tuples of adjacent vertex positions.  The
 annihilation operator C_k contracts a backtracking step at position k with
 weight sqrt(D[v_k]/D[v_{k-1}]) (_weights), where D is the Perron-Frobenius
-vector; its adjoint C+_k inserts a backtrack.  The normalized products
-e_k = C+_k C_k / beta realize the Temperley-Lieb projectors, and the
-essential subspace at length p is the joint kernel of all C_k.
+vector, and _contractions alone decides which paths contract.  Its
+adjoint C+_k = C_k^T inserts a backtrack, and e_k = C_k^T C_k / beta
+realize the Temperley-Lieb projectors.  The essential subspace at length
+p is the joint kernel of all C_k.
 
 The C_k preserve the origin and the endpoint, so the kernel splits into
 (origin, endpoint) blocks.  essential_dims builds each block's kernel one
@@ -110,7 +111,6 @@ class PathSpace:
         self.length = length
         self.origin = origin
         self.paths = tuple(enumerate_paths(diagram, length, origin, cap))
-        self.cap = cap
 
     @functools.cached_property
     def index(self):
@@ -146,6 +146,15 @@ class PathOperator:
             self.kind, self.k, self.source.length, self.target.length)
 
 
+def _contractions(paths, k, weight):
+    """(j, short, w) for each paths[j] that backtracks at k, v_{k+1} ==
+    v_{k-1}: C_k sends it to w times the path short, which drops v_k and
+    v_{k+1}."""
+    for j, path in enumerate(paths):
+        if path[k + 1] == path[k - 1]:
+            yield j, path[:k] + path[k + 2:], weight[path[k - 1]][path[k]]
+
+
 def annihilation_operator(space, k):
     """C_k: contract the backtrack v_{k-1}, v_k, v_{k+1} when
     v_{k+1} == v_{k-1}; zero on every other path."""
@@ -153,40 +162,30 @@ def annihilation_operator(space, k):
     if not 1 <= k <= p - 1:
         raise ValueError("C_%d undefined on paths of length %d" % (k, p))
     d = space.diagram
-    target = PathSpace(d, p - 2, space.origin, space.cap)
-    weight = _weights(d)
+    target = PathSpace(d, p - 2, space.origin, cap=p - 2)
     m = np.zeros((target.dim, space.dim))
-    for j, path in enumerate(space.paths):
-        if path[k + 1] != path[k - 1]:
-            continue
-        short = path[:k] + path[k + 2:]
-        m[target.index[short], j] = weight[path[k - 1]][path[k]]
+    for j, short, w in _contractions(space.paths, k, _weights(d)):
+        m[target.index[short], j] = w
     return PathOperator("annihilation", k, space, target, m)
 
 
 def creation_operator(space, k):
-    """C+_k: insert a backtrack through every neighbor of v_{k-1}."""
+    """C+_k = C_k^T: insert a backtrack through every neighbor of
+    v_{k-1}, C_k read from the paths two steps longer."""
     p = space.length
     if not 1 <= k <= p + 1:
         raise ValueError("C+_%d undefined on paths of length %d" % (k, p))
-    d = space.diagram
-    target = PathSpace(d, p + 2, space.origin, max(space.cap, p + 2))
-    weight = _weights(d)
-    m = np.zeros((target.dim, space.dim))
-    for j, path in enumerate(space.paths):
-        anchor = path[k - 1]
-        for w in d.neighbors(anchor):
-            longer = path[:k] + (w, anchor) + path[k:]
-            m[target.index[longer], j] += weight[anchor][w]
-    return PathOperator("creation", k, space, target, m)
+    ann = annihilation_operator(
+        PathSpace(space.diagram, p + 2, space.origin, cap=p + 2), k)
+    return PathOperator("creation", k, space, ann.source, ann.matrix.T)
 
 
 def jones_projector(space, k):
-    """e_k = C+_k C_k / beta, an endomorphism of the path space."""
-    ann = annihilation_operator(space, k)
-    cre = creation_operator(ann.target, k)
-    m = cre.matrix @ ann.matrix / graph_norm(space.diagram)
-    return PathOperator("jones", k, space, space, m)
+    """e_k = C+_k C_k / beta = C_k^T C_k / beta, an endomorphism of the
+    path space."""
+    c = annihilation_operator(space, k).matrix
+    return PathOperator("jones", k, space, space,
+                        c.T @ c / graph_norm(space.diagram))
 
 
 def _blocks(space):
@@ -210,13 +209,10 @@ def _constraint_blocks(space):
         nrows = 0
         for k in range(1, p):
             shorts = {}
-            for j, path in enumerate(block):
-                if path[k + 1] != path[k - 1]:
-                    continue
-                short = path[:k] + path[k + 2:]
+            for j, short, w in _contractions(block, k, weight):
                 rows.append(nrows + shorts.setdefault(short, len(shorts)))
                 cols.append(j)
-                vals.append(weight[path[k - 1]][path[k]])
+                vals.append(w)
             nrows += len(shorts)
         if not nrows:
             yield ab, block, None

@@ -4,8 +4,8 @@ Each is the plain, slower way to compute a value that the package now
 computes another way: exact linear algebra over Fraction (SparseRREF, an
 incremental reduced echelon form, and solve_many), and the constructions
 the package used before it kept to integers or made fewer calls (the
-kernel step of the path model), and the search for fusion-closed
-subsets.  None of them is used by the package itself.  It also holds the label lookups that the test files
+kernel step of the path model, the insertion walk of C+_k), and the
+search for fusion-closed subsets.  None of them is used by the package itself.  It also holds the label lookups that the test files
 share (_pos, _element_index).
 """
 
@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from adefusion.fusion import _Fail, _forced_rows, _long_branch
+from adefusion.path_model import PathSpace, _weights
 
 
 def _pos(d, label):
@@ -186,7 +187,7 @@ def fork_splits_by_pinned_solve(d):
     mats = list(_long_branch(g, f)[:f + 1])
     nf = mats[f]
     total = g @ nf - mats[f - 1]
-    x = _forced_rows(d, nf, f1)[:f1]
+    x = _forced_rows(d, nf, {0: np.eye(r, dtype=np.int64)[f1]})[:f1]
     if any(np.any(row < 0) for row in x):
         raise _Fail("negative forced row in fork matrix")
     if not np.array_equal(x[f], nf[f1]) or not np.array_equal(nf[f1], nf[f2]):
@@ -279,3 +280,20 @@ def kernel_step_by_slices(prev2, prev, nbrs, weight, tol):
         else:
             out.append(np.eye(m.shape[1]))
     return out
+
+
+def creation_by_insertion(space, k):
+    """The matrix of C+_k on space, built as the package once built it:
+    for each path, a backtrack v_{k-1}, w, v_{k-1} inserted at k through
+    every neighbour w of v_{k-1}, with the weight of contracting it."""
+    d = space.diagram
+    p = space.length
+    longer = PathSpace(d, p + 2, space.origin, cap=p + 2)
+    weight = _weights(d)
+    m = np.zeros((longer.dim, space.dim))
+    for j, path in enumerate(space.paths):
+        anchor = path[k - 1]
+        for w in d.neighbors(anchor):
+            m[longer.index[path[:k] + (w, anchor) + path[k:]], j] += \
+                weight[anchor][w]
+    return m

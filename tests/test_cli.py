@@ -303,7 +303,9 @@ def test_paths_over_budget(capsys):
             % PATHS_BUDGET) in err
 
 
-@pytest.mark.parametrize("graph, length", [("A1000", 200), ("A3000", 3)])
+# within the rank budget and over the paths budget: A200 is refused at
+# length 6 with 12,604 paths, and D200 has 12,680 paths of length 6
+@pytest.mark.parametrize("graph, length", [("A200", 200), ("D200", 6)])
 def test_paths_over_budget_on_a_large_graph_is_refused_at_once(
         capsys, graph, length):
     start = time.perf_counter()
@@ -319,6 +321,7 @@ def test_paths_over_budget_on_a_large_graph_is_refused_at_once(
 @pytest.mark.parametrize("command, graph, budget", [
     ("fusion", "A1000", FUSION_RANK_BUDGET),
     ("essential", "D202", FUSION_RANK_BUDGET),
+    ("paths", "A1000", FUSION_RANK_BUDGET),
     ("ocneanu", "A200", GRAM_RANK_BUDGET),
     ("toric", "A101", GRAM_RANK_BUDGET),
     ("modular-check", "A101", GRAM_RANK_BUDGET),
@@ -342,6 +345,7 @@ def test_rank_over_budget_refused_before_any_work(capsys, monkeypatch,
 @pytest.mark.parametrize("command, graph", [
     ("fusion", "A%d" % FUSION_RANK_BUDGET),
     ("essential", "D%d" % FUSION_RANK_BUDGET),
+    ("paths", "A%d" % FUSION_RANK_BUDGET),
     ("ocneanu", "A%d" % GRAM_RANK_BUDGET),
     ("modular-check", "A%d" % GRAM_RANK_BUDGET),
 ])

@@ -141,7 +141,8 @@ def test_branch_walk_matches_polynomial(rank):
     # E7 included: its walk gives the table that the ring check refuses
     d = build_diagram("E", rank)
     t = {6: 2, 7: 3, 8: 4}[rank]
-    rows = _forced_rows(d, _long_branch(d.adjacency, t)[t], rank - 1)
+    rows = _forced_rows(d, _long_branch(d.adjacency, t)[t],
+                        {0: np.eye(rank, dtype=np.int64)[rank - 1]})
     assert all(row is not None for row in rows)
     assert np.array_equal(np.array(rows),
                           _branch_polynomial(d.adjacency, rank - 1))
@@ -363,11 +364,14 @@ def _lower_fork_sum_base(real):
 
 
 def _raise_forced_row(real):
-    """_forced_rows with row f - 1 raised to N_f[f]: the fork pair's
-    budget s = N_f[f] - row f - 1 is 0, and the one pin's walk leaves it."""
-    def raised(d, target, a):
-        x = real(d, target, a)
-        x[d.rank - 4] = target[d.rank - 3].copy()
+    """_forced_rows with row f - 1 of the row walk raised to N_f[f]: the
+    fork pair's budget s = N_f[f] - row f - 1 is 0, and the one pin's walk
+    leaves it.  The row walk has the 2-D target N_f; the fork walk, over
+    the grid of pins, a 3-D one, and it is left as it is."""
+    def raised(d, target, known):
+        x = real(d, target, known)
+        if target.ndim == 2:
+            x[d.rank - 4] = target[d.rank - 3].copy()
         return x
     return raised
 

@@ -182,6 +182,23 @@ def test_exact_t_commutation():
             assert res["t_deviation"] == _t_deviation(rep, w)
 
 
+@pytest.mark.parametrize("diagonal, invariant", [
+    ((1,) * 11, True),
+    ((1,) + (0,) * 10, False),
+], ids=["identity", "diagonal-unit"])
+def test_s_deviation_decides_the_verdict(monkeypatch, diagonal, invariant):
+    # a diagonal W commutes with the diagonal T exactly, so only [W, S]
+    # can refuse it: the unit at (0, 0) does not commute with S
+    w = np.diag(diagonal)
+    dim = quantum_symmetry_algebra("E6").dim
+    monkeypatch.setattr(modular, "_toric_matrices",
+                        lambda graph: np.array([w] * dim))
+    res = modular_invariance_check("E6")
+    assert res["t_deviation"] == 0.0
+    assert (res["s_deviation"] < 1e-9) is invariant
+    assert res["invariant"] is invariant
+
+
 def _commutes_with_t_by_differences(level, w):
     """Reference for the class rule: T[m,m] = T[n,n] exactly when
     m^2 - n^2 = 0 mod 4N, m and n 1-based, for every nonzero W[m,n]."""

@@ -25,7 +25,7 @@ from adefusion.path_model import (
 )
 from adefusion.golden import E6_ESS4_PATHS, E6_PATHS7_BY_END, E6_PATHS7_TOTAL
 
-from _oracles import kernel_step_by_slices
+from _oracles import creation_by_insertion, kernel_step_by_slices
 
 
 def test_enumerate_small():
@@ -166,11 +166,18 @@ def test_explicit_length4_essential_vector():
 
 
 def test_creation_is_adjoint_of_annihilation():
-    d = build_diagram("E", 6)
-    space = PathSpace(d, 4, origin=0)
-    ann = annihilation_operator(space, 2)
-    cre = creation_operator(ann.target, 2)
-    assert np.allclose(cre.matrix, ann.matrix.T, atol=1e-12)
+    # byte for byte against the insertion walk, for every k up to p + 1,
+    # where the backtrack goes after the last vertex
+    cases = [("E", 6, 4, 0)] + [("D", 6, 5, a) for a in range(6)]
+    for fam, rank, p, origin in cases:
+        space = PathSpace(build_diagram(fam, rank), p, origin)
+        for k in range(1, p + 2):
+            cre = creation_operator(space, k)
+            want = creation_by_insertion(space, k)
+            ann = annihilation_operator(cre.target, k).matrix
+            for m in (cre.matrix, ann.T):
+                assert m.shape == want.shape, (fam, rank, origin, k)
+                assert m.tobytes() == want.tobytes(), (fam, rank, origin, k)
 
 
 def test_jones_projector_factorization():
